@@ -20,10 +20,8 @@
 #include "exec/aggregator.h"
 #include "exec/bound_query.h"
 #include "exec/parallel.h"
-#include "exec/segment_scan.h"
 #include "ingest/ingest.h"
 #include "session/session.h"
-#include "storage/segment.h"
 #include "workflow/generator.h"
 
 namespace {
@@ -140,28 +138,6 @@ void BM_HotLoopVectorizedHashBins(benchmark::State& state) {
                           static_cast<int64_t>(walk.size()));
 }
 BENCHMARK(BM_HotLoopVectorizedHashBins);
-
-/// Two-phase reference (fused plan disabled): the PR-1/PR-2 pipeline with
-/// per-row bin kernels — what `BM_HotLoopVectorized` measured before the
-/// fused kernels landed.
-void BM_HotLoopTwoPhase(benchmark::State& state) {
-  auto catalog = SharedCatalog();
-  query::QuerySpec spec = HotLoopSpec();
-  auto bound = exec::BoundQuery::Bind(spec, *catalog);
-  IDB_CHECK(bound.ok());
-  const std::vector<int64_t>& walk = SharedWalk();
-  exec::BinnedAggregatorOptions options;
-  options.enable_fused = false;
-  for (auto _ : state) {
-    exec::BinnedAggregator agg(&*bound, options);
-    IDB_CHECK(!agg.uses_fused());
-    agg.ProcessBatch(walk.data(), static_cast<int64_t>(walk.size()));
-    benchmark::DoNotOptimize(agg.rows_matched());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(walk.size()));
-}
-BENCHMARK(BM_HotLoopTwoPhase);
 
 void BM_HotLoopVectorized(benchmark::State& state) {
   auto catalog = SharedCatalog();
@@ -561,135 +537,6 @@ void BM_WorkflowGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_WorkflowGeneration);
 
-// --- Compressed segment scan (storage/segment.h + exec/segment_scan.h) -----
-//
-// Packed-vs-flat scan over a 2M-row table.  Two query shapes:
-//  * Selective: COUNT by `bucket` filtered to one rare tag that occurs in
-//    a single segment — zone + dictionary-bitset pruning let the packed
-//    scan skip ~97% of the payload the flat scan walks.
-//  * RleCount: unfiltered all-COUNT by `bucket` (RLE in every segment) —
-//    the run fast path answers per run instead of per row.
-// Run
-//   bench_micro --benchmark_filter=SegmentScan --benchmark_format=json
-// to emit the JSON recorded in BENCH_segment_scan.json.
-
-constexpr int64_t kSegBenchRows = 2'000'000;
-
-std::shared_ptr<storage::Catalog> SegBenchCatalog() {
-  static const std::shared_ptr<storage::Catalog> catalog = [] {
-    storage::Schema schema({
-        {"bucket", storage::DataType::kInt64,
-         storage::AttributeKind::kNominal},
-        {"narrow", storage::DataType::kInt64,
-         storage::AttributeKind::kNominal},
-        {"value", storage::DataType::kDouble,
-         storage::AttributeKind::kQuantitative},
-        {"tag", storage::DataType::kString,
-         storage::AttributeKind::kNominal},
-    });
-    auto t = std::make_shared<storage::Table>("segbench", schema);
-    Rng rng(57);
-    for (int64_t i = 0; i < kSegBenchRows; ++i) {
-      t->mutable_column(0).AppendInt(i / 8192);  // sorted runs -> RLE
-      t->mutable_column(1).AppendInt(100 + rng.UniformInt(0, 250));
-      t->mutable_column(2).AppendDouble(rng.Uniform(-100.0, 100.0));
-      // "rare" only in rows [65536, 131072) — one segment.
-      const bool rare_zone = i >= storage::kSegmentRows &&
-                             i < 2 * storage::kSegmentRows;
-      if (rare_zone && rng.Bernoulli(0.01)) {
-        t->mutable_column(3).AppendString("rare");
-      } else {
-        t->mutable_column(3).AppendString(
-            rng.Bernoulli(0.5) ? "common_a" : "common_b");
-      }
-    }
-    auto c = std::make_shared<storage::Catalog>();
-    IDB_CHECK(c->AddTable(std::move(t)).ok());
-    return c;
-  }();
-  return catalog;
-}
-
-const storage::Table& SegBenchTable() {
-  return *SegBenchCatalog()->fact_table();
-}
-
-const storage::SegmentFile& SegBenchFile() {
-  static const storage::SegmentFile* file = [] {
-    const std::string path = "/tmp/idebench_segbench.seg";
-    IDB_CHECK(storage::WriteSegmentFile(SegBenchTable(), path).ok());
-    auto opened = storage::SegmentFile::Open(path);
-    IDB_CHECK(opened.ok());
-    return new storage::SegmentFile(std::move(opened).MoveValueUnsafe());
-  }();
-  return *file;
-}
-
-query::QuerySpec SegBenchSpec(bool selective) {
-  query::QuerySpec spec;
-  spec.viz_name = "segbench";
-  query::BinDimension d;
-  d.column = "bucket";
-  d.mode = query::BinningMode::kNominal;
-  spec.bins = {d};
-  query::AggregateSpec count;
-  count.type = query::AggregateType::kCount;
-  spec.aggregates = {count};
-  if (selective) {
-    expr::Predicate eq;
-    eq.column = "tag";
-    eq.op = expr::CompareOp::kEq;
-    eq.value = static_cast<double>(
-        SegBenchTable().column(3).dictionary().Lookup("rare"));
-    spec.filter.And(eq);
-  }
-  IDB_CHECK(spec.ResolveBins(*SegBenchCatalog()).ok());
-  return spec;
-}
-
-void BM_SegmentScanFlat(benchmark::State& state) {
-  const bool selective = state.range(0) != 0;
-  auto catalog = SegBenchCatalog();
-  query::QuerySpec spec = SegBenchSpec(selective);
-  for (auto _ : state) {
-    // Bind inside the loop: the packed side re-binds per Create, and a
-    // real query pays binding each time on either path.
-    auto bound = exec::BoundQuery::Bind(spec, *catalog);
-    IDB_CHECK(bound.ok());
-    exec::BinnedAggregator agg(&*bound);
-    agg.ProcessRange(0, kSegBenchRows);
-    benchmark::DoNotOptimize(agg.rows_matched());
-  }
-  state.SetItemsProcessed(state.iterations() * kSegBenchRows);
-}
-BENCHMARK(BM_SegmentScanFlat)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
-void BM_SegmentScanPacked(benchmark::State& state) {
-  const bool selective = state.range(0) != 0;
-  query::QuerySpec spec = SegBenchSpec(selective);
-  SegBenchFile();  // pack once outside the timed region
-  exec::SegmentScanStats stats;
-  for (auto _ : state) {
-    auto scanner = exec::SegmentTableScanner::Create(&SegBenchFile(), spec);
-    IDB_CHECK(scanner.ok());
-    IDB_CHECK((*scanner)->Execute().ok());
-    benchmark::DoNotOptimize((*scanner)->aggregator().rows_matched());
-    stats = (*scanner)->stats();
-  }
-  state.SetItemsProcessed(state.iterations() * kSegBenchRows);
-  state.counters["payload_bytes"] =
-      benchmark::Counter(static_cast<double>(stats.payload_bytes_touched));
-  state.counters["rows_skipped"] =
-      benchmark::Counter(static_cast<double>(stats.rows_skipped));
-  state.counters["segments_pruned_zone"] =
-      benchmark::Counter(static_cast<double>(stats.segments_pruned_zone));
-  state.counters["segments_pruned_dict"] =
-      benchmark::Counter(static_cast<double>(stats.segments_pruned_dict));
-  state.counters["segments_filter_fastpath"] =
-      benchmark::Counter(static_cast<double>(stats.segments_filter_fastpath));
-}
-BENCHMARK(BM_SegmentScanPacked)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
-
 void BM_GroundTruthQuery(benchmark::State& state) {
   auto catalog = SharedCatalog();
   query::QuerySpec spec = CountByCarrierSpec();
@@ -707,11 +554,11 @@ BENCHMARK(BM_GroundTruthQuery);
 //
 // A dashboard re-renders its filtered aggregation after every published
 // ingest epoch (10 epochs x 1000 rows onto a 100K-row base).  With
-// delta maintenance (the default) each re-render serves the cached
-// snapshot and scans only the epoch's delta rows; the
-// invalidate-on-growth baseline drops the entry at every publish and
-// rescans from zero.  Results are bit-identical either way
-// (tests/workflow_fuzz_test.cc ingest sweep); only physical work moves.
+// delta maintenance (reuse cache on) each re-render serves the cached
+// snapshot and scans only the epoch's delta rows; the baseline (reuse
+// cache off) rescans from zero at every epoch.  Results are
+// bit-identical either way (tests/workflow_fuzz_test.cc ingest sweep);
+// only physical work moves.
 // Run
 //   bench_micro --benchmark_filter=IngestWhileServing
 //               --benchmark_format=json
@@ -766,9 +613,7 @@ void BM_IngestWhileServing(benchmark::State& state) {
     engines::BlockingEngineConfig config;
     config.query_overhead_us = 0;
     engines::BlockingEngine engine(config);
-    exec::ReuseCacheOptions cache_options;
-    cache_options.invalidate_on_growth = !delta;
-    engine.EnableReuseCache(cache_options);
+    if (delta) engine.EnableReuseCache();
     IDB_CHECK(engine.Prepare(catalog).ok());
 
     // The dashboard's standing query: filtered, binned COUNT + AVG,
@@ -798,10 +643,10 @@ void BM_IngestWhileServing(benchmark::State& state) {
 
     int64_t cursor = kBase;
     for (int e = 0; e < kEpochs; ++e) {
-      // The append + publish cost is identical in both modes (and paid by
+      // The append + publish cost is identical in both arms (and paid by
       // the ingest channel, not the query path): keep it out of the
       // timing so the measurement isolates the re-render cost the two
-      // maintenance policies differ on.
+      // arms differ on.
       state.PauseTiming();
       IDB_CHECK((*ingestor)
                     ->Append(ingest::BatchFromTable(*source, cursor,
@@ -818,11 +663,9 @@ void BM_IngestWhileServing(benchmark::State& state) {
         benchmark::Counter(static_cast<double>(rs.rows_served));
     state.counters["equal_hits"] +=
         benchmark::Counter(static_cast<double>(rs.equal_hits));
-    state.counters["stale_invalidations"] +=
-        benchmark::Counter(static_cast<double>(rs.stale_invalidations));
   }
   state.SetItemsProcessed(rows_total);
-  state.SetLabel(delta ? "delta_maintenance" : "invalidate_and_rescan");
+  state.SetLabel(delta ? "delta_maintenance" : "rescan_every_epoch");
 }
 BENCHMARK(BM_IngestWhileServing)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond);

@@ -7,8 +7,8 @@
 /// generation, engine x time-requirement sweeps, and table printing.
 ///
 /// Every binary regenerates one table or figure of the paper and prints
-/// the same rows/series the paper reports.  Experiment ids refer to
-/// DESIGN.md's experiment index.
+/// the same rows/series the paper reports.  Experiment ids are the
+/// paper's own (Exp. 1-5 and Table 1 of its evaluation section).
 
 #include <cstdio>
 #include <cstdlib>

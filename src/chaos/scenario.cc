@@ -1,7 +1,10 @@
 #include "chaos/scenario.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <sstream>
 #include <utility>
@@ -53,13 +56,21 @@ std::shared_ptr<const storage::Catalog> BaseCatalog() {
 
 /// Round-trips the base fact table through CSV with retry-on-transient,
 /// exercising the kCsvOpen/kCsvAlloc sites the way a resilient loader
-/// would.  The file lands in the working directory and is removed.
+/// would.  The file lands in the system temp directory (else the working
+/// directory) under a name carrying the process id, so concurrent
+/// processes replaying the same (scenario, engine, seed) never share it,
+/// and is removed.
 Result<std::shared_ptr<const storage::Catalog>> CsvRoundTripCatalog(
     const ScenarioSpec& spec, const std::string& engine_name, uint64_t seed,
     std::vector<std::string>* log) {
   const storage::Table* fact = BaseCatalog()->fact_table();
-  const std::string path = "chaos_roundtrip_" + spec.name + "_" + engine_name +
-                           "_" + std::to_string(seed) + ".csv";
+  std::error_code ec;  // no temp dir: fall back to the working directory
+  const std::string path =
+      (std::filesystem::temp_directory_path(ec) /
+       ("chaos_roundtrip_" + spec.name + "_" + engine_name + "_" +
+        std::to_string(seed) + "_" +
+        std::to_string(static_cast<long>(::getpid())) + ".csv"))
+          .string();
   constexpr int kMaxAttempts = 16;
   Status last = Status::OK();
   for (int attempt = 1; attempt <= kMaxAttempts; ++attempt) {

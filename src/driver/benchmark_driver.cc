@@ -6,6 +6,7 @@
 
 #include "common/logging.h"
 #include "query/sql.h"
+#include "workflow/resolve.h"
 
 namespace idebench::driver {
 

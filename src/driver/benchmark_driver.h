@@ -19,7 +19,6 @@
 /// shared engine — the paper's Exp. 4 concurrent-user scenario — and the
 /// scheduler's fairness telemetry is exposed via `scheduler_stats()`.
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -32,30 +31,10 @@
 #include "metrics/metrics.h"
 #include "session/session.h"
 #include "storage/catalog.h"
-#include "workflow/resolve.h"
 #include "workflow/viz_graph.h"
 #include "workflow/workflow.h"
 
 namespace idebench::driver {
-
-/// DEPRECATED forwarding wrapper — the definition moved to
-/// `workflow::ResolveQueryAgainst` (workflow/resolve.h) so the session
-/// layer shares it; prefer calling that directly.
-inline Status ResolveQueryAgainst(const storage::Catalog& catalog,
-                                  query::QuerySpec* spec) {
-  return workflow::ResolveQueryAgainst(catalog, spec);
-}
-
-/// DEPRECATED forwarding wrapper — the definition moved to
-/// `workflow::ForEachInteraction` (workflow/resolve.h); prefer calling
-/// that directly.
-inline Status ForEachInteraction(
-    const storage::Catalog& catalog, const workflow::Workflow& wf,
-    const std::function<Status(const workflow::Interaction& interaction,
-                               int64_t interaction_id,
-                               std::vector<query::QuerySpec>& specs)>& fn) {
-  return workflow::ForEachInteraction(catalog, wf, fn);
-}
 
 /// One row of the detailed report (paper Table 1).
 struct QueryRecord {

@@ -186,7 +186,6 @@ exec::BinnedAggregatorOptions EngineBase::MakeAggregatorOptions() const {
 exec::ReuseCache::Match EngineBase::AcquireReuse(
     const query::QuerySpec& spec) {
   if (reuse_cache_ == nullptr) return {};
-  reuse_cache_->SetEpochWatermark(visible_rows());
   return reuse_cache_->Lookup(spec);
 }
 
@@ -203,7 +202,6 @@ void EngineBase::StoreReuse(const query::QuerySpec& spec,
                             const exec::BinnedAggregator& agg,
                             bool lazy_joins) {
   if (reuse_cache_ == nullptr) return;
-  reuse_cache_->SetEpochWatermark(visible_rows());
   reuse_cache_->Store(spec, agg, [this, lazy_joins](const query::QuerySpec& s) {
     return BindQuery(s, lazy_joins);
   });

@@ -56,8 +56,7 @@ class EngineBase : public Engine {
   void DiscardViz(const std::string& viz) override;
 
   /// Turns the reuse cache on (Settings::reuse_cache).  First call wins:
-  /// callers wanting non-default options (e.g. the invalidate-on-growth
-  /// baseline BENCH_ingest.json compares against) invoke this before
+  /// callers wanting non-default capacity options invoke this before
   /// `Prepare`, which makes the engine's own opt-in a no-op.
   void EnableReuseCache(const exec::ReuseCacheOptions& options = {});
 

@@ -33,9 +33,10 @@ namespace idebench::engines {
 /// Cost/behavior knobs of the progressive engine.
 struct ProgressiveEngineConfig {
   /// Cost per sampled tuple.  Calibrated against the materialized data
-  /// scale so the quality-vs-TR gradient spans the observable range (see
-  /// EXPERIMENTS.md); what carries the paper's findings is the *ratio* to
-  /// the online engine's per-tuple cost (progressive is ~3x faster).
+  /// scale so the quality-vs-TR gradient spans the observable range of
+  /// the Exp. 1 TR sweep (bench/bench_exp1_summary.cc); what carries the
+  /// paper's findings is the *ratio* to the online engine's per-tuple
+  /// cost (progressive is ~3x faster).
   double sample_us_per_row = 8.0;
   Micros prepare_time_us = 180'000'000;  // fixed warm load (3 min, §5.2)
   double query_overhead_us = 10'000;  // dispatch

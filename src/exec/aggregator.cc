@@ -38,7 +38,6 @@ void BinnedAggregator::DecideDense() {
                keys <= options_.dense_key_limit &&
                keys * naggs <= options_.dense_accum_limit;
   dense_keys_ = use_dense_ ? keys : 0;
-  use_fused_ = options_.enable_fused && vec_->fused_ok();
 }
 
 std::unique_ptr<BinnedAggregator> BinnedAggregator::NewPartial() const {
@@ -218,11 +217,8 @@ void BinnedAggregator::ProcessBatch(const int64_t* rows, int64_t n,
     const int64_t pos_base = rows_seen_;  // feed position of batch.rows[0]
     rows_seen_ += batch.n;
 
-    // Fused and two-phase front ends share the postcondition (compact
-    // sel + dense keys in feed order), so everything below — recorder,
-    // base resolution, accumulation — is common code.
-    const int64_t m = use_fused_ ? vec_->FusedFilterBin(&batch)
-                                 : vec_->FilterAndBin(&batch);
+    // Compact sel + dense keys in feed order.
+    const int64_t m = vec_->FilterAndBin(&batch);
     rows_matched_ += m;
     if (m == 0) continue;
 
@@ -250,10 +246,8 @@ void BinnedAggregator::ProcessBatch(const int64_t* rows, int64_t n,
     // the selection, accumulator row resolved once per row, no bases
     // scratch.  Per-cell accumulation order (agg 0 then agg 1 within a
     // row, rows in feed order) matches the agg-major loops below
-    // bit-exactly because the two aggregates never share a cell.  Gated
-    // on the fused plan so enable_fused=false really is the unmodified
-    // two-phase reference, accumulation tail included.
-    if (use_fused_ && use_dense_ && weight == 1.0 && naggs == 2 &&
+    // bit-exactly because the two aggregates never share a cell.
+    if (use_dense_ && weight == 1.0 && naggs == 2 &&
         vec_->agg_is_count(0) && !vec_->agg_is_count(1)) {
       EnsureDenseAllocated();
       const double* values = vec_->GatherAggValues(1, &batch);
@@ -308,43 +302,6 @@ void BinnedAggregator::ProcessBatch(const int64_t* rows, int64_t n,
         }
       }
     }
-  }
-}
-
-void BinnedAggregator::ProcessCountRun(int64_t dense_key, int64_t rows) {
-  // Precondition checks: the caller (the segment scan's RLE fast path)
-  // guarantees an all-COUNT aggregate list, so every accumulator this
-  // touches has only ever taken unit observations — all affected fields
-  // hold integers (n and sums of 1.0, exact far beyond any row count)
-  // and min/max fold idempotently to 1.0.  One bulk add is therefore
-  // bit-identical to `rows` individual batch-path updates.
-  IDB_CHECK(vec_ != nullptr && vec_->ok());
-  IDB_CHECK(!options_.record_matches);
-  IDB_CHECK(rows > 0);
-  IDB_CHECK(dense_key >= 0 && dense_key < vec_->key_space());
-  const size_t naggs = query_->spec().aggregates.size();
-  for (size_t a = 0; a < naggs; ++a) IDB_CHECK(vec_->agg_is_count(a));
-
-  rows_seen_ += rows;
-  rows_matched_ += rows;
-  AggAccum* base;
-  if (use_dense_) {
-    EnsureDenseAllocated();
-    dense_touched_[static_cast<size_t>(dense_key)] = 1;
-    base = dense_.data() + static_cast<size_t>(dense_key) * naggs;
-  } else {
-    base = AccumsForPublicKey(vec_->DenseKeyToPublic(dense_key));
-  }
-  const double r = static_cast<double>(rows);
-  for (size_t a = 0; a < naggs; ++a) {
-    AggAccum* acc = &base[a];
-    acc->n += rows;
-    acc->sum += r;
-    acc->sumsq += r;
-    acc->wsum += r;
-    acc->wvsum += r;
-    acc->min = std::min(acc->min, 1.0);
-    acc->max = std::max(acc->max, 1.0);
   }
 }
 

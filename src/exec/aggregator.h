@@ -15,25 +15,27 @@
 ///    intervals and a finite-population correction.
 ///  * `EstimateFromWeightedSample()` — the offline stratified engine,
 ///    where each row carries its stratum weight N_s/n_s; variances use a
-///    Poisson-sampling approximation (see DESIGN.md).
+///    Poisson-sampling approximation: each sampled row is treated as an
+///    independent Bernoulli draw with inclusion probability 1/w, giving
+///    the variance term sum w(w-1)·v² (see `AggAccum::wvar`/`wvsumsq`).
 ///
-/// Rows arrive through three equivalent paths:
+/// Rows arrive through two equivalent paths:
 ///
 ///  * the scalar reference path (`ProcessRow` / `ProcessRowWeighted`),
 ///    one `MatchesFilter`+`BinKey`+`AggValueAt` chain per row;
-///  * the two-phase vectorized path (filter kernels → selection vector →
-///    bin kernels → aggregate gathers), kept as the vectorized
-///    differential reference (`enable_fused = false`);
-///  * the fused single-pass path (the default for `ProcessBatch` /
-///    `ProcessRange` / `ProcessShuffled`): one compiled plan per query
-///    walks each ~1024-row batch once — every distinct column gathered
-///    exactly once, vertical mask predicates, branchless SIMD bin keys
-///    (dictionary dimensions through a compile-time code→bin LUT) — and
-///    accumulates straight into a *dense flat bin table* whenever the
-///    resolved bin-key space is small (the common IDEBench case),
-///    falling back to the hash map transparently otherwise.
+///  * the fused batch pipeline behind every batch entry point
+///    (`ProcessBatch`, and the dispatchers `ProcessRange` /
+///    `ProcessShuffled` / `ProcessWalk` plus the morsel-parallel
+///    `MorselProcess*` in exec/parallel.h): one compiled plan per
+///    query (exec/vectorized.h) walks each ~1024-row batch once — every
+///    distinct column gathered exactly once, vertical mask predicates,
+///    branchless SIMD bin keys (dictionary dimensions through a
+///    compile-time code→bin LUT) — and accumulates straight into a
+///    *dense flat bin table* whenever the resolved bin-key space is small
+///    (the common IDEBench case), falling back to the hash map
+///    transparently otherwise.
 ///
-/// All paths write the same accumulator streams in the same per-bin
+/// Both paths write the same accumulator streams in the same per-bin
 /// order, so results are bit-identical; the scalar path is the reference
 /// implementation for differential testing
 /// (`BinnedAggregatorOptions::enable_vectorized = false`).
@@ -83,16 +85,9 @@ struct AggAccum {
 
 /// Execution knobs; defaults enable the fast paths.
 struct BinnedAggregatorOptions {
-  /// Compile and use the vectorized kernels for batch entry points.
+  /// Compile and use the fused batch pipeline for batch entry points.
   /// Disable to force the scalar reference path everywhere.
   bool enable_vectorized = true;
-
-  /// Run the batch entry points through the fused single-pass plan
-  /// (filter + bin + accumulate in one walk, each column gathered once).
-  /// Disable to force the two-phase pipeline (filter kernels → selection
-  /// vector → bin kernels → aggregate gathers), kept as the vectorized
-  /// differential reference.  Ignored when `enable_vectorized` is off.
-  bool enable_fused = true;
 
   /// Skip zone-map-excluded 64K blocks on `ProcessRange` feeds (skipped
   /// rows still advance `rows_seen()` via SkipRows, so results — rows
@@ -143,9 +138,7 @@ class BinnedAggregator {
 
   /// Adopts an already-compiled kernel table instead of recompiling.
   /// `vec` must have been compiled from `*query`.  This is how partials
-  /// share their parent's kernels (`NewPartial`) and how the compressed
-  /// segment scan (exec/segment_scan.h) uses one compile for both its
-  /// aggregator and its footer-zone prune checks.
+  /// share their parent's kernels (`NewPartial`).
   BinnedAggregator(const BoundQuery* query, BinnedAggregatorOptions options,
                    std::shared_ptr<const VectorizedQuery> vec);
 
@@ -212,18 +205,6 @@ class BinnedAggregator {
   void ProcessWalk(const aqp::ShuffledIndex& order, int64_t key,
                    int64_t start_pos, int64_t count);
 
-  /// Bulk-accumulates `rows` matching rows into the bin with dense key
-  /// `dense_key`, all aggregates taken as COUNT — the RLE run fast path
-  /// of the segment scan (exec/segment_scan.h): when every aggregate is
-  /// COUNT and a whole run of identical values passes the filter and
-  /// bins to one key, the run contributes `rows` unit observations.
-  /// Every accumulator field a COUNT observation touches is an integer
-  /// (n, and sums of 1.0) or folds to 1.0 (min/max), so one bulk add of
-  /// `rows` is bit-identical to `rows` individual batch-path updates.
-  /// Requires compiled vectorized kernels, an all-COUNT aggregate list
-  /// and no match recording (checked).
-  void ProcessCountRun(int64_t dense_key, int64_t rows);
-
   /// Advances `rows_seen()` by `n` without feeding rows — the accounting
   /// for feed positions whose rows are known (from a recorded match list)
   /// not to pass the filter.
@@ -288,11 +269,8 @@ class BinnedAggregator {
   /// (diagnostics/tests).
   bool uses_dense_bins() const { return use_dense_; }
 
-  /// True when the batch entry points run the vectorized kernels.
+  /// True when the batch entry points run the fused batch pipeline.
   bool uses_vectorized() const { return vec_ != nullptr && vec_->ok(); }
-
-  /// True when the batch entry points run the fused single-pass plan.
-  bool uses_fused() const { return use_fused_; }
 
   /// The compiled kernel table when zone-map pruning is active for this
   /// aggregator (options + at least one fact-column check); nullptr
@@ -402,7 +380,6 @@ class BinnedAggregator {
   // Compiled kernel table; immutable after construction and shared with
   // partial aggregators, so morsel workers can run it concurrently.
   std::shared_ptr<const VectorizedQuery> vec_;
-  bool use_fused_ = false;
 
   // Hash-map bin store (always correct; the fallback).
   std::unordered_map<int64_t, std::vector<AggAccum>> bins_;

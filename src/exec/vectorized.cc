@@ -110,10 +110,10 @@ int64_t RangeFilterDense(const FilterKernel& k, const int64_t* rows,
   return out;
 }
 
-/// SIMD-friendly two-phase *fact-column* equality filter, mirroring
-/// `RangeFilterDense`: gather into contiguous scratch, then a pure
-/// vertical compare + branchless compaction loop the compiler can turn
-/// into SIMD compares.  Semantics are identical to FilterImpl<kEq, L>:
+/// SIMD-friendly gather-then-compare *fact-column* equality filter,
+/// mirroring `RangeFilterDense`: gather into contiguous scratch, then a
+/// pure vertical compare + branchless compaction loop the compiler can
+/// turn into SIMD compares.  Semantics are identical to FilterImpl<kEq, L>:
 /// NaN never matches ((NaN == v) is false), so the explicit NaN guard of
 /// the generic kernel is redundant here.
 template <Ld L, bool First = false>
@@ -142,9 +142,9 @@ int64_t EqFilterDense(const FilterKernel& k, const int64_t* rows,
   return out;
 }
 
-/// SIMD-friendly two-phase *fact-column* IN-set filter: gather into
-/// contiguous scratch, then one vertical equality sweep per set element
-/// OR-ing into a pass mask, then branchless compaction.  Turning the
+/// SIMD-friendly gather-then-compare *fact-column* IN-set filter: gather
+/// into contiguous scratch, then one vertical equality sweep per set
+/// element OR-ing into a pass mask, then branchless compaction.  Turning the
 /// per-row set loop of the generic kernel inside-out makes every inner
 /// loop a vertical operation over contiguous arrays.  Semantics are
 /// identical to FilterImpl<kIn, L>: NaN matches nothing, an empty set
@@ -201,7 +201,7 @@ template <bool First>
 FilterKernel::Fn PickFilterImpl(CompareOp op, Ld load) {
   switch (op) {
     case CompareOp::kEq:
-      // Fact-column equality takes the SIMD-friendly two-phase kernel.
+      // Fact-column equality takes the gather-then-compare kernel.
       if (load == Ld::kI64) return &EqFilterDense<Ld::kI64, First>;
       if (load == Ld::kF64) return &EqFilterDense<Ld::kF64, First>;
       return PickFilterForOp<CompareOp::kEq, First>(load);
@@ -216,12 +216,12 @@ FilterKernel::Fn PickFilterImpl(CompareOp op, Ld load) {
     case CompareOp::kGe:
       return PickFilterForOp<CompareOp::kGe, First>(load);
     case CompareOp::kRange:
-      // Fact-column range filters take the SIMD-friendly two-phase kernel.
+      // Fact-column range filters take the gather-then-compare kernel.
       if (load == Ld::kI64) return &RangeFilterDense<Ld::kI64, First>;
       if (load == Ld::kF64) return &RangeFilterDense<Ld::kF64, First>;
       return PickFilterForOp<CompareOp::kRange, First>(load);
     case CompareOp::kIn:
-      // Fact-column IN-sets take the SIMD-friendly two-phase kernel.
+      // Fact-column IN-sets take the gather-then-compare kernel.
       if (load == Ld::kI64) return &InFilterDense<Ld::kI64, First>;
       if (load == Ld::kF64) return &InFilterDense<Ld::kF64, First>;
       return PickFilterForOp<CompareOp::kIn, First>(load);
@@ -232,45 +232,6 @@ FilterKernel::Fn PickFilterImpl(CompareOp op, Ld load) {
 FilterKernel::Fn PickFilter(CompareOp op, Ld load, bool first) {
   return first ? PickFilterImpl<true>(op, load)
                : PickFilterImpl<false>(op, load);
-}
-
-template <Ld L, bool Nominal>
-void BinImpl(const BinKernel& k, const int64_t* rows, const int32_t* sel,
-             int64_t n_sel, int64_t* out, double* out_vals) {
-  for (int64_t i = 0; i < n_sel; ++i) {
-    double v;
-    if (!Load<L>(k.col, rows[sel[i]], &v) || !(v == v)) {
-      out[i] = -1;
-      out_vals[i] = kNaN;
-      continue;
-    }
-    out_vals[i] = v;
-    // Same expressions as BinDimension::BinIndex: truncation for nominal
-    // (integer-coded) dimensions, floor division for quantitative ones.
-    int64_t idx;
-    if constexpr (Nominal) {
-      idx = static_cast<int64_t>(v - k.lo);
-    } else {
-      idx = static_cast<int64_t>(std::floor((v - k.lo) / k.width));
-    }
-    out[i] = (idx >= 0 && idx < k.bin_count) ? idx : -1;
-  }
-}
-
-BinKernel::Fn PickBin(Ld load, bool nominal) {
-  switch (load) {
-    case Ld::kI64:
-      return nominal ? &BinImpl<Ld::kI64, true> : &BinImpl<Ld::kI64, false>;
-    case Ld::kF64:
-      return nominal ? &BinImpl<Ld::kF64, true> : &BinImpl<Ld::kF64, false>;
-    case Ld::kI64Join:
-      return nominal ? &BinImpl<Ld::kI64Join, true>
-                     : &BinImpl<Ld::kI64Join, false>;
-    case Ld::kF64Join:
-      return nominal ? &BinImpl<Ld::kF64Join, true>
-                     : &BinImpl<Ld::kF64Join, false>;
-  }
-  return nullptr;
 }
 
 template <Ld L>
@@ -497,7 +458,6 @@ bool ExactReciprocal(double width) {
 
 void VectorizedQuery::CompileFused(const BoundQuery& query) {
   const query::QuerySpec& spec = query.spec();
-  fused_bins_.reserve(bin_kernels_.size());
   for (size_t d = 0; d < spec.bins.size(); ++d) {
     const query::BinDimension& dim = spec.bins[d];
     const ColumnBinding& binding = query.bin_bindings()[d];
@@ -506,7 +466,7 @@ void VectorizedQuery::CompileFused(const BoundQuery& query) {
     const bool is_double =
         binding.column->type() == storage::DataType::kDouble;
     const bool joined = binding.join != nullptr;
-    BinKernel b = bin_kernels_[d];  // copy access path + params
+    BinKernel& b = bin_kernels_[d];  // access path + params set by Compile
 
     if (is_string && dim.mode == query::BinningMode::kNominal) {
       // Pre-bin every dictionary code once at compile time.  Codes
@@ -553,9 +513,7 @@ void VectorizedQuery::CompileFused(const BoundQuery& query) {
                          : PickFusedQuant<Ld::kI64>(use_inv);
       }
     }
-    fused_bins_.push_back(std::move(b));
   }
-  fused_ok_ = true;
 }
 
 void VectorizedQuery::CompilePrune(const BoundQuery& query) {
@@ -674,18 +632,17 @@ VectorizedQuery VectorizedQuery::Compile(const BoundQuery& query) {
   const query::QuerySpec& spec = query.spec();
   if (spec.bins.empty() || spec.bins.size() > 2) return vq;
 
-  // Bin-key kernels.
+  // Bin-key kernel parameters; CompileFused picks the kernels once the
+  // gather dedup below is known.
   for (size_t d = 0; d < spec.bins.size(); ++d) {
     const query::BinDimension& dim = spec.bins[d];
     if (!dim.resolved || dim.bin_count <= 0) return vq;
     BinKernel k;
     Ld load;
     if (!CompileAccess(query.bin_bindings()[d], &k.col, &load)) return vq;
-    k.fn = PickBin(load, dim.mode == query::BinningMode::kNominal);
     k.lo = dim.lo;
     k.width = dim.width;
     k.bin_count = dim.bin_count;
-    if (k.fn == nullptr) return vq;
     vq.bin_kernels_.push_back(k);
   }
   vq.two_d_ = spec.bins.size() == 2;
@@ -744,8 +701,7 @@ VectorizedQuery VectorizedQuery::Compile(const BoundQuery& query) {
   return vq;
 }
 
-int64_t VectorizedQuery::FilterAndBinImpl(
-    RowBatch* batch, const std::vector<BinKernel>& bins) const {
+int64_t VectorizedQuery::FilterAndBin(RowBatch* batch) const {
   const int64_t n = batch->n;
   int64_t n_sel = n;
   // The first filter kernel synthesizes the identity selection itself;
@@ -762,11 +718,11 @@ int64_t VectorizedQuery::FilterAndBinImpl(
     return 0;
   }
 
-  const BinKernel& b0 = bins[0];
+  const BinKernel& b0 = bin_kernels_[0];
   b0.fn(b0, batch->rows, batch->sel.data(), n_sel, batch->keys.data(),
         batch->bin_vals.data());
   if (two_d_) {
-    const BinKernel& b1 = bins[1];
+    const BinKernel& b1 = bin_kernels_[1];
     b1.fn(b1, batch->rows, batch->sel.data(), n_sel, batch->keys2.data(),
           batch->bin_vals2.data());
   }
@@ -807,39 +763,6 @@ const double* VectorizedQuery::GatherAggValues(size_t a,
   const AggKernel& k = agg_kernels_[a];
   k.fn(k, batch->rows, batch->sel.data(), batch->n_sel, batch->values.data());
   return batch->values.data();
-}
-
-bool VectorizedQuery::SegmentCanMatch(
-    const std::function<const storage::ZoneEntry*(const storage::Column*)>&
-        zone_of) const {
-  for (const PruneCheck& c : prune_checks_) {
-    const storage::ZoneEntry* z = zone_of(c.col);
-    if (z != nullptr && !c.BlockCanMatch(*z)) return false;
-  }
-  return true;
-}
-
-void ExpandRleRuns(const int64_t* values, const int32_t* lengths,
-                   int32_t num_runs, int64_t* out) {
-  for (int32_t r = 0; r < num_runs; ++r) {
-    const int64_t v = values[r];
-    const int32_t len = lengths[r];
-    for (int32_t i = 0; i < len; ++i) *out++ = v;
-  }
-}
-
-void UnpackBitsFOR(const uint64_t* words, uint8_t bits, int64_t base,
-                   int64_t n, int64_t* out) {
-  const uint64_t mask = (uint64_t{1} << bits) - 1;  // bits <= 32
-  const uint64_t ubase = static_cast<uint64_t>(base);
-  for (int64_t i = 0; i < n; ++i) {
-    const uint64_t bitpos = static_cast<uint64_t>(i) * bits;
-    const uint64_t shift = bitpos & 63;
-    uint64_t u = words[bitpos >> 6] >> shift;
-    // A value spans at most two words (bits <= 32 < 64).
-    if (shift + bits > 64) u |= words[(bitpos >> 6) + 1] << (64 - shift);
-    out[i] = static_cast<int64_t>(ubase + (u & mask));
-  }
 }
 
 }  // namespace idebench::exec

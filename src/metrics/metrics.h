@@ -56,10 +56,6 @@ struct ReuseCacheStats {
   int64_t evictions = 0;        // entries dropped by the per-viz LRU
   int64_t poisoned = 0;         // entries dropped as corrupt (fault injection)
   int64_t rows_served = 0;      // feed positions served from snapshots
-  /// Entries dropped because an ingest epoch published after they were
-  /// stored (`ReuseCacheOptions::invalidate_on_growth` only — the
-  /// baseline the delta-maintained default is benchmarked against).
-  int64_t stale_invalidations = 0;
   int64_t entries = 0;          // live entries at sampling time
 
   ReuseCacheStats& operator+=(const ReuseCacheStats& o) {
@@ -70,7 +66,6 @@ struct ReuseCacheStats {
     evictions += o.evictions;
     poisoned += o.poisoned;
     rows_served += o.rows_served;
-    stale_invalidations += o.stale_invalidations;
     // `entries` is a gauge, not a counter: across engines/configurations
     // report the peak, not a meaningless sum.
     entries = entries > o.entries ? entries : o.entries;

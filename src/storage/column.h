@@ -95,9 +95,7 @@ class Column {
   /// Appends `n` zero rows in bulk: value 0 for int64, 0.0 for double,
   /// dictionary code 0 for strings (the dictionary must be non-empty).
   /// Stats and zone map end up bit-identical to `n` single appends, but
-  /// the fold runs once per zone block instead of once per row.  This is
-  /// how the compressed segment scan (exec/segment_scan.h) sizes its
-  /// staging columns before overwriting them through `Mutable*Data`.
+  /// the fold runs once per zone block instead of once per row.
   void AppendPlaceholderZeros(int64_t n);
 
   /// Reserves capacity for `n` rows.
@@ -127,14 +125,6 @@ class Column {
   const int64_t* Int64Data() const { return ints_.data(); }
   const double* DoubleData() const { return doubles_.data(); }
 
-  /// Mutable raw storage — the escape hatch for the compressed segment
-  /// scan's *staging* columns (exec/segment_scan.h), which decode each
-  /// 64K segment into a fixed-size buffer the compiled kernels already
-  /// point at.  Writes through these pointers bypass the `UpdateStats`
-  /// funnel: min/max and the zone map go stale, so they are only legal on
-  /// columns whose stats nothing consults.  Never use on catalog tables.
-  int64_t* MutableInt64Data() { return ints_.data(); }
-  double* MutableDoubleData() { return doubles_.data(); }
   const Dictionary& dictionary() const { return dict_; }
   Dictionary& mutable_dictionary() { return dict_; }
 

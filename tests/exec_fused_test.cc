@@ -2,8 +2,8 @@
 /// Differential tests for the fused single-pass kernels and zone-map
 /// block pruning (PR 5): the fused pipeline (vertical branchless bin
 /// keys, dictionary code→bin LUTs, gather dedup) must produce results
-/// bit-identical to both the two-phase vectorized path and the scalar
-/// reference across every (op, type, join, bin, agg) combination —
+/// bit-identical to the scalar reference across every (op, type, join,
+/// bin, agg) combination —
 /// including NaN doubles, empty IN-sets, dictionary codes absent from
 /// the bin config — and zone-map pruning must never change any result,
 /// only skip provably-empty blocks.
@@ -106,11 +106,11 @@ void ExpectBitIdentical(const query::QueryResult& a,
   }
 }
 
-/// Feeds the same rows through scalar, two-phase, and fused aggregators
-/// and requires bit-identical state and snapshots from all three.
-void RunDifferential3(const QuerySpec& spec,
-                      const std::shared_ptr<storage::Catalog>& catalog,
-                      const std::vector<int64_t>& rows, double weight = 1.0) {
+/// Feeds the same rows through scalar and fused aggregators and requires
+/// bit-identical state and exact, uniform and weighted snapshots.
+void RunDifferential(const QuerySpec& spec,
+                     const std::shared_ptr<storage::Catalog>& catalog,
+                     const std::vector<int64_t>& rows, double weight = 1.0) {
   std::vector<const JoinIndex*> joins;
   std::unique_ptr<JoinIndex> join;
   auto required = BoundQuery::RequiredJoins(spec, *catalog);
@@ -126,26 +126,15 @@ void RunDifferential3(const QuerySpec& spec,
 
   BinnedAggregatorOptions scalar_options;
   scalar_options.enable_vectorized = false;
-  BinnedAggregatorOptions two_phase_options;
-  two_phase_options.enable_fused = false;
   BinnedAggregator scalar(&*bound, scalar_options);
-  BinnedAggregator two_phase(&*bound, two_phase_options);
   BinnedAggregator fused(&*bound);
   ASSERT_TRUE(fused.uses_vectorized());
-  ASSERT_TRUE(fused.uses_fused());
-  ASSERT_FALSE(two_phase.uses_fused());
 
   for (int64_t row : rows) scalar.ProcessRowWeighted(row, weight);
-  two_phase.ProcessBatch(rows.data(), static_cast<int64_t>(rows.size()),
-                         weight);
   fused.ProcessBatch(rows.data(), static_cast<int64_t>(rows.size()), weight);
 
-  for (const BinnedAggregator* agg : {&two_phase, &fused}) {
-    EXPECT_EQ(scalar.rows_seen(), agg->rows_seen());
-    EXPECT_EQ(scalar.rows_matched(), agg->rows_matched());
-  }
-  ExpectBitIdentical(scalar.ExactResult(), two_phase.ExactResult(),
-                     "scalar vs two-phase exact");
+  EXPECT_EQ(scalar.rows_seen(), fused.rows_seen());
+  EXPECT_EQ(scalar.rows_matched(), fused.rows_matched());
   ExpectBitIdentical(scalar.ExactResult(), fused.ExactResult(),
                      "scalar vs fused exact");
   ExpectBitIdentical(
@@ -223,7 +212,7 @@ TEST(FusedDifferentialTest, AllOpsOnFactAndJoinedColumns) {
       }
       spec.filter.And(p);
       SCOPED_TRACE(c.column + "/" + expr::CompareOpName(op));
-      RunDifferential3(spec, catalog, rows);
+      RunDifferential(spec, catalog, rows);
     }
   }
 }
@@ -236,7 +225,7 @@ TEST(FusedDifferentialTest, EmptyInSetSelectsNothing) {
   p.op = expr::CompareOp::kIn;
   p.set_values = {};  // empty IN: matches no row on every path
   spec.filter.And(p);
-  RunDifferential3(spec, catalog, ShuffledRows(6));
+  RunDifferential(spec, catalog, ShuffledRows(6));
 }
 
 TEST(FusedDifferentialTest, NaNFilterColumnNeverMatches) {
@@ -252,7 +241,7 @@ TEST(FusedDifferentialTest, NaNFilterColumnNeverMatches) {
     p.value = 300.0;
     spec.filter.And(p);
     SCOPED_TRACE(expr::CompareOpName(op));
-    RunDifferential3(spec, catalog, ShuffledRows(7));
+    RunDifferential(spec, catalog, ShuffledRows(7));
   }
 }
 
@@ -261,11 +250,11 @@ TEST(FusedDifferentialTest, NaNFilterColumnNeverMatches) {
 TEST(FusedDifferentialTest, DictionaryLutBins) {
   auto catalog = MakeCatalog();
   // Direct LUT (no aggregate shares the string column).
-  RunDifferential3(BaseSpec(catalog, "group", BinningMode::kNominal), catalog,
-                   ShuffledRows(8));
+  RunDifferential(BaseSpec(catalog, "group", BinningMode::kNominal), catalog,
+                  ShuffledRows(8));
   // Joined string dimension -> LUT behind the join mapping.
-  RunDifferential3(BaseSpec(catalog, "dlabel", BinningMode::kNominal),
-                   catalog, ShuffledRows(9));
+  RunDifferential(BaseSpec(catalog, "dlabel", BinningMode::kNominal),
+                  catalog, ShuffledRows(9));
 }
 
 TEST(FusedDifferentialTest, DictionaryLutSharedWithAggregate) {
@@ -274,7 +263,7 @@ TEST(FusedDifferentialTest, DictionaryLutSharedWithAggregate) {
   // SUM over the binned string column itself (sums dictionary codes):
   // forces the value-lane LUT variant and the gather-dedup path.
   spec.aggregates.push_back(Agg(AggregateType::kSum, "group"));
-  RunDifferential3(spec, catalog, ShuffledRows(10));
+  RunDifferential(spec, catalog, ShuffledRows(10));
 }
 
 TEST(FusedDifferentialTest, DictionaryCodesAbsentFromBinConfig) {
@@ -284,7 +273,7 @@ TEST(FusedDifferentialTest, DictionaryCodesAbsentFromBinConfig) {
   // 6..9 must map to no bin on every path (the LUT's -1 entries).
   spec.bins[0].lo = 2.0;
   spec.bins[0].bin_count = 4;
-  RunDifferential3(spec, catalog, ShuffledRows(11));
+  RunDifferential(spec, catalog, ShuffledRows(11));
 }
 
 TEST(FusedDifferentialTest, PowerOfTwoWidthUsesExactReciprocal) {
@@ -297,10 +286,10 @@ TEST(FusedDifferentialTest, PowerOfTwoWidthUsesExactReciprocal) {
   spec.bins[0].lo = -64.0;
   spec.bins[0].width = 8.0;
   spec.bins[0].bin_count = 32;
-  RunDifferential3(spec, catalog, ShuffledRows(12));
+  RunDifferential(spec, catalog, ShuffledRows(12));
 
   spec.bins[0].width = 7.5;  // non-power-of-two: division variant
-  RunDifferential3(spec, catalog, ShuffledRows(13));
+  RunDifferential(spec, catalog, ShuffledRows(13));
 }
 
 TEST(FusedDifferentialTest, TwoDimensionalCombinations) {
@@ -332,7 +321,7 @@ TEST(FusedDifferentialTest, TwoDimensionalCombinations) {
     p.hi = 140.0;
     spec.filter.And(p);
     SCOPED_TRACE(c0 + " x " + c1);
-    RunDifferential3(spec, catalog, rows);
+    RunDifferential(spec, catalog, rows);
   }
 }
 
@@ -348,7 +337,7 @@ TEST(FusedDifferentialTest, AggregateSharesBinnedDimension) {
   p.op = expr::CompareOp::kGe;
   p.value = 1.0;
   spec.filter.And(p);
-  RunDifferential3(spec, catalog, ShuffledRows(15));
+  RunDifferential(spec, catalog, ShuffledRows(15));
 }
 
 TEST(FusedDifferentialTest, WeightedFeedsAndCanonicalPair) {
@@ -371,8 +360,8 @@ TEST(FusedDifferentialTest, WeightedFeedsAndCanonicalPair) {
   p.lo = 0.0;
   p.hi = 120.0;
   spec.filter.And(p);
-  RunDifferential3(spec, catalog, ShuffledRows(16));
-  RunDifferential3(spec, catalog, ShuffledRows(17), /*weight=*/3.25);
+  RunDifferential(spec, catalog, ShuffledRows(16));
+  RunDifferential(spec, catalog, ShuffledRows(17), /*weight=*/3.25);
 }
 
 TEST(FusedDifferentialTest, RandomizedTwentySeedSweep) {
@@ -430,8 +419,8 @@ TEST(FusedDifferentialTest, RandomizedTwentySeedSweep) {
     }
     ASSERT_TRUE(spec.ResolveBins(*catalog).ok());
     SCOPED_TRACE("seed " + std::to_string(seed));
-    RunDifferential3(spec, catalog, ShuffledRows(seed),
-                     rng.Bernoulli(0.3) ? rng.Uniform(0.5, 4.0) : 1.0);
+    RunDifferential(spec, catalog, ShuffledRows(seed),
+                    rng.Bernoulli(0.3) ? rng.Uniform(0.5, 4.0) : 1.0);
   }
 }
 

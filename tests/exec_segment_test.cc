@@ -1,17 +1,18 @@
 /// \file exec_segment_test.cc
-/// The compressed scan tier (exec/segment_scan.h) against the in-memory
-/// reference: for every query shape x column type x encoding, a
-/// `SegmentTableScanner` over the packed file must produce results
-/// bit-identical to a `BinnedAggregator` fed the decoded table through
-/// `ProcessRangeParallel` — at 1 thread (sequential contract) and 4
-/// threads (morsel contract) — while the pruning tiers and the RLE COUNT
-/// fast path visibly engage in the stats.
+/// Packed segment files (storage/segment.h) as query input: a table
+/// written with `WriteSegmentFile` and read back with `SegmentFile::Decode`
+/// must answer every query bit-identically to the in-memory source table
+/// through the engine-facing `ProcessRangeParallel` path, at 1 thread
+/// (sequential contract) and 4 threads (morsel contract).  Covers the
+/// encodings whose decoders are easiest to get subtly wrong: bit-packed
+/// frame-of-reference columns across the 1..32-bit range with a negative
+/// base and an unaligned tail, and a segment holding nothing but NaN.
 
-#include <cmath>
 #include <cstdio>
 #include <limits>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,7 +22,6 @@
 #include "exec/aggregator.h"
 #include "exec/bound_query.h"
 #include "exec/parallel.h"
-#include "exec/segment_scan.h"
 #include "storage/segment.h"
 
 namespace idebench::exec {
@@ -33,73 +33,6 @@ using query::BinDimension;
 using query::BinningMode;
 using query::QuerySpec;
 
-constexpr int64_t kRows = 2 * storage::kSegmentRows + 4321;
-
-/// Catalog whose fact columns land on every encoding: `bucket` sorted
-/// low-cardinality (RLE everywhere), `narrow` noisy small-range
-/// (bit-packed), `wide` full-range (raw/packed-wide), `value` doubles
-/// with NaNs (raw), `tag` region-clustered strings, and `nanonly` a
-/// column whose middle segment is entirely NaN.
-std::shared_ptr<storage::Catalog> SegCatalog() {
-  static const std::shared_ptr<storage::Catalog> catalog = [] {
-    storage::Schema schema({
-        {"bucket", storage::DataType::kInt64,
-         storage::AttributeKind::kNominal},
-        {"narrow", storage::DataType::kInt64,
-         storage::AttributeKind::kNominal},
-        {"wide", storage::DataType::kInt64,
-         storage::AttributeKind::kQuantitative},
-        {"value", storage::DataType::kDouble,
-         storage::AttributeKind::kQuantitative},
-        {"tag", storage::DataType::kString,
-         storage::AttributeKind::kNominal},
-        {"nanonly", storage::DataType::kDouble,
-         storage::AttributeKind::kQuantitative},
-    });
-    auto t = std::make_shared<storage::Table>("fact", schema);
-    Rng rng(101);
-    const char* tags[] = {"alpha", "beta", "gamma", "delta",
-                          "epsilon", "zeta"};
-    for (int64_t i = 0; i < kRows; ++i) {
-      t->mutable_column(0).AppendInt(i / 4096);  // sorted runs of 4096
-      t->mutable_column(1).AppendInt(500 + rng.UniformInt(0, 120));
-      t->mutable_column(2).AppendInt(rng.UniformInt(-1'000'000'000'000,
-                                                    1'000'000'000'000));
-      t->mutable_column(3).AppendDouble(
-          rng.Bernoulli(0.04) ? std::numeric_limits<double>::quiet_NaN()
-                              : rng.Uniform(-500.0, 1500.0));
-      // Tags 0..2 only in the first segment's rows, 3..5 after — the
-      // dictionary bitsets of different segments genuinely differ.
-      const int lo = i < storage::kSegmentRows ? 0 : 3;
-      t->mutable_column(4).AppendString(tags[lo + rng.UniformInt(0, 2)]);
-      // Middle segment all-NaN, elsewhere finite.
-      const bool mid = i >= storage::kSegmentRows &&
-                       i < 2 * storage::kSegmentRows;
-      t->mutable_column(5).AppendDouble(
-          mid ? std::numeric_limits<double>::quiet_NaN()
-              : rng.Uniform(0.0, 10.0));
-    }
-    auto c = std::make_shared<storage::Catalog>();
-    IDB_CHECK(c->AddTable(t).ok());
-    return c;
-  }();
-  return catalog;
-}
-
-/// The packed form of SegCatalog's fact table, written once.
-const storage::SegmentFile& SegFile() {
-  static const storage::SegmentFile* file = [] {
-    const std::string path =
-        std::string(::testing::TempDir()) + "/exec_seg_fact.seg";
-    IDB_CHECK(storage::WriteSegmentFile(*SegCatalog()->fact_table(), path)
-                  .ok());
-    auto opened = storage::SegmentFile::Open(path);
-    IDB_CHECK(opened.ok());
-    return new storage::SegmentFile(std::move(opened).MoveValueUnsafe());
-  }();
-  return *file;
-}
-
 AggregateSpec Agg(AggregateType type, const std::string& column = "") {
   AggregateSpec a;
   a.type = type;
@@ -107,18 +40,23 @@ AggregateSpec Agg(AggregateType type, const std::string& column = "") {
   return a;
 }
 
-QuerySpec MakeSpec(const std::string& bin_column, BinningMode mode,
-                   std::vector<AggregateSpec> aggs, int bins = 16) {
-  QuerySpec spec;
-  spec.viz_name = "v";
-  BinDimension d;
-  d.column = bin_column;
-  d.mode = mode;
-  d.requested_bins = bins;
-  spec.bins = {d};
-  spec.aggregates = std::move(aggs);
-  IDB_CHECK(spec.ResolveBins(*SegCatalog()).ok());
-  return spec;
+std::shared_ptr<storage::Catalog> CatalogOf(storage::Table table) {
+  auto catalog = std::make_shared<storage::Catalog>();
+  IDB_CHECK(catalog
+                ->AddTable(std::make_shared<storage::Table>(std::move(table)))
+                .ok());
+  return catalog;
+}
+
+/// Writes `source` to a temp segment file and opens it.
+storage::SegmentFile PackAndOpen(const storage::Table& source,
+                                 const std::string& name) {
+  const std::string path = std::string(::testing::TempDir()) + "/" + name;
+  IDB_CHECK(storage::WriteSegmentFile(source, path).ok());
+  auto opened = storage::SegmentFile::Open(path);
+  IDB_CHECK(opened.ok());
+  std::remove(path.c_str());  // the mapping stays valid after unlink
+  return std::move(opened).MoveValueUnsafe();
 }
 
 /// Exact-equality result comparison (bit-identity is the contract).
@@ -139,315 +77,144 @@ void ExpectResultsIdentical(const query::QueryResult& a,
   }
 }
 
-/// Flat reference: the in-memory table through the engine-facing range
-/// path at `threads`.
-struct FlatRun {
+/// `spec` (bins resolved against the source catalog) aggregated over all
+/// of `catalog`'s fact rows at `threads`.
+struct Run {
   std::unique_ptr<BoundQuery> bound;
   std::unique_ptr<BinnedAggregator> agg;
 };
 
-FlatRun FlatReference(const QuerySpec& spec, int threads) {
-  FlatRun run;
-  auto bound = BoundQuery::Bind(spec, *SegCatalog());
+Run Aggregate(const QuerySpec& spec, const storage::Catalog& catalog,
+              int threads) {
+  Run run;
+  auto bound = BoundQuery::Bind(spec, catalog);
   IDB_CHECK(bound.ok());
   run.bound =
       std::make_unique<BoundQuery>(std::move(bound).MoveValueUnsafe());
   run.agg = std::make_unique<BinnedAggregator>(run.bound.get(),
                                                BinnedAggregatorOptions{});
-  ProcessRangeParallel(run.agg.get(), 0, kRows, threads);
+  ProcessRangeParallel(run.agg.get(), 0, run.bound->num_rows(), threads);
   return run;
 }
 
-/// Runs `spec` through the segment scanner; returns it for stats access.
-std::unique_ptr<SegmentTableScanner> Scan(const QuerySpec& spec,
-                                          SegmentScanOptions options = {}) {
-  auto scanner = SegmentTableScanner::Create(&SegFile(), spec, options);
-  IDB_CHECK(scanner.ok());
-  IDB_CHECK((*scanner)->Execute().ok());
-  return std::move(scanner).MoveValueUnsafe();
-}
-
-/// The core differential: scanner vs flat at 1 and 4 threads, all four
-/// pruning/fast-path option combinations — always bit-identical.
-void RunDifferential(const QuerySpec& spec, const std::string& label) {
+/// The core differential: the decoded segment file vs the source table,
+/// at 1 and 4 threads — always bit-identical.
+void RunDifferential(const storage::Catalog& source,
+                     const storage::SegmentFile& file,
+                     const QuerySpec& spec, const std::string& label) {
+  auto decoded = file.Decode();
+  ASSERT_TRUE(decoded.ok()) << label << ": " << decoded.status();
+  const auto packed = CatalogOf(std::move(decoded).MoveValueUnsafe());
   for (const int threads : {1, 4}) {
-    const FlatRun flat_run = FlatReference(spec, threads);
-    const BinnedAggregator* flat = flat_run.agg.get();
-    for (const bool tiers : {true, false}) {
-      SegmentScanOptions options;
-      options.threads = threads;
-      options.enable_zone_pruning = tiers;
-      options.enable_dict_pruning = tiers;
-      options.enable_rle_count_fastpath = tiers;
-      options.enable_compressed_filter_fastpath = tiers;
-      const auto scanner = Scan(spec, options);
-      const std::string sub = label + ", threads " +
-                              std::to_string(threads) +
-                              (tiers ? ", tiers on" : ", tiers off");
-      EXPECT_EQ(flat->rows_seen(), scanner->aggregator().rows_seen()) << sub;
-      EXPECT_EQ(flat->rows_matched(),
-                scanner->aggregator().rows_matched())
-          << sub;
-      ExpectResultsIdentical(flat->ExactResult(),
-                             scanner->aggregator().ExactResult(), sub);
-      if (::testing::Test::HasFatalFailure()) return;
-    }
+    const std::string sub = label + ", threads " + std::to_string(threads);
+    const Run flat = Aggregate(spec, source, threads);
+    const Run scan = Aggregate(spec, *packed, threads);
+    EXPECT_EQ(flat.agg->rows_seen(), scan.agg->rows_seen()) << sub;
+    EXPECT_EQ(flat.agg->rows_matched(), scan.agg->rows_matched()) << sub;
+    ExpectResultsIdentical(flat.agg->ExactResult(),
+                           scan.agg->ExactResult(), sub);
+    if (::testing::Test::HasFatalFailure()) return;
   }
 }
 
-// --- op x type x encoding sweep ---------------------------------------------
+// --- All-NaN segment --------------------------------------------------------
 
-TEST(SegmentScanTest, NominalStringBinAllAggsOverRawDouble) {
-  QuerySpec spec = MakeSpec("tag", BinningMode::kNominal,
-                            {Agg(AggregateType::kCount),
-                             Agg(AggregateType::kSum, "value"),
-                             Agg(AggregateType::kAvg, "value"),
-                             Agg(AggregateType::kMin, "value"),
-                             Agg(AggregateType::kMax, "value")});
-  RunDifferential(spec, "tag x all-aggs(value)");
+constexpr int64_t kNaNRows = 2 * storage::kSegmentRows + 4321;
+
+/// `tag` strings everywhere; `nanonly` doubles whose middle segment is
+/// entirely NaN and finite elsewhere.
+std::shared_ptr<storage::Catalog> NaNCatalog() {
+  static const std::shared_ptr<storage::Catalog> catalog = [] {
+    storage::Schema schema({
+        {"tag", storage::DataType::kString,
+         storage::AttributeKind::kNominal},
+        {"nanonly", storage::DataType::kDouble,
+         storage::AttributeKind::kQuantitative},
+    });
+    storage::Table t("fact", schema);
+    Rng rng(101);
+    const char* tags[] = {"alpha", "beta", "gamma"};
+    for (int64_t i = 0; i < kNaNRows; ++i) {
+      t.mutable_column(0).AppendString(tags[rng.UniformInt(0, 2)]);
+      const bool mid = i >= storage::kSegmentRows &&
+                       i < 2 * storage::kSegmentRows;
+      t.mutable_column(1).AppendDouble(
+          mid ? std::numeric_limits<double>::quiet_NaN()
+              : rng.Uniform(0.0, 10.0));
+    }
+    return CatalogOf(std::move(t));
+  }();
+  return catalog;
 }
 
-TEST(SegmentScanTest, QuantitativeBinWithRangeAndInFilters) {
-  QuerySpec spec = MakeSpec("value", BinningMode::kFixedCount,
-                            {Agg(AggregateType::kCount),
-                             Agg(AggregateType::kSum, "wide"),
-                             Agg(AggregateType::kAvg, "narrow")});
-  expr::Predicate range;
-  range.column = "narrow";
-  range.op = expr::CompareOp::kRange;
-  range.lo = 520.0;
-  range.hi = 600.0;
-  spec.filter.And(range);
-  expr::Predicate in_set;
-  in_set.column = "bucket";
-  in_set.op = expr::CompareOp::kIn;
-  in_set.set_values = {0.0, 3.0, 7.0, 15.0, 21.0, 30.0};
-  spec.filter.And(in_set);
-  RunDifferential(spec, "value-bins, range(narrow) + in(bucket)");
+const storage::SegmentFile& NaNFile() {
+  static const storage::SegmentFile* file = new storage::SegmentFile(
+      PackAndOpen(*NaNCatalog()->fact_table(), "exec_seg_nan.seg"));
+  return *file;
 }
 
-TEST(SegmentScanTest, BitPackedBinColumnOrderingOps) {
-  QuerySpec spec = MakeSpec("narrow", BinningMode::kFixedCount,
-                            {Agg(AggregateType::kCount),
-                             Agg(AggregateType::kMin, "value"),
-                             Agg(AggregateType::kMax, "value")},
-                            /*bins=*/8);
-  expr::Predicate ge;
-  ge.column = "wide";
-  ge.op = expr::CompareOp::kGe;
-  ge.value = 0.0;
-  spec.filter.And(ge);
-  RunDifferential(spec, "narrow-bins, ge(wide)");
+QuerySpec NaNSpec(const std::string& bin_column, BinningMode mode,
+                  std::vector<AggregateSpec> aggs) {
+  QuerySpec spec;
+  spec.viz_name = "v";
+  BinDimension d;
+  d.column = bin_column;
+  d.mode = mode;
+  d.requested_bins = 16;
+  spec.bins = {d};
+  spec.aggregates = std::move(aggs);
+  IDB_CHECK(spec.ResolveBins(*NaNCatalog()).ok());
+  return spec;
 }
 
 TEST(SegmentScanTest, AllNaNSegmentAggregateInput) {
-  QuerySpec spec = MakeSpec("tag", BinningMode::kNominal,
-                            {Agg(AggregateType::kCount),
-                             Agg(AggregateType::kSum, "nanonly"),
-                             Agg(AggregateType::kAvg, "nanonly")});
-  RunDifferential(spec, "tag x aggs(all-NaN middle segment)");
+  const storage::ZoneEntry& zone =
+      NaNFile().view(NaNFile().ColumnIndex("nanonly"), 1).zone;
+  EXPECT_EQ(zone.nan_count, storage::kSegmentRows);
+  EXPECT_GT(zone.min, zone.max);
+  QuerySpec spec = NaNSpec("tag", BinningMode::kNominal,
+                           {Agg(AggregateType::kCount),
+                            Agg(AggregateType::kSum, "nanonly"),
+                            Agg(AggregateType::kAvg, "nanonly")});
+  RunDifferential(*NaNCatalog(), NaNFile(), spec,
+                  "tag x aggs(all-NaN middle segment)");
 }
 
 TEST(SegmentScanTest, AllNaNSegmentAsBinColumn) {
-  QuerySpec spec = MakeSpec("nanonly", BinningMode::kFixedCount,
-                            {Agg(AggregateType::kCount)});
-  RunDifferential(spec, "nanonly-bins");
+  QuerySpec spec = NaNSpec("nanonly", BinningMode::kFixedCount,
+                           {Agg(AggregateType::kCount)});
+  RunDifferential(*NaNCatalog(), NaNFile(), spec, "nanonly-bins");
 }
 
-// --- Pruning tiers ----------------------------------------------------------
+// --- Bit-packed widths ------------------------------------------------------
 
-TEST(SegmentScanTest, ZonePruningSkipsSegmentsBitIdentically) {
-  // `bucket` is sorted: segment 0 holds 0..15, so > 40 excludes it (and
-  // the zone maps prove it).
-  QuerySpec spec = MakeSpec("tag", BinningMode::kNominal,
-                            {Agg(AggregateType::kCount),
-                             Agg(AggregateType::kSum, "value")});
-  expr::Predicate gt;
-  gt.column = "bucket";
-  gt.op = expr::CompareOp::kGt;
-  gt.value = 40.0;
-  spec.filter.And(gt);
-
-  SegmentScanOptions options;
-  const auto scanner = Scan(spec, options);
-  EXPECT_GE(scanner->stats().segments_pruned_zone, 1);
-  EXPECT_GT(scanner->stats().rows_skipped, 0);
-  RunDifferential(spec, "zone-pruned gt(bucket)");
-}
-
-TEST(SegmentScanTest, DictBitsetPrunesWhereZonesCannot) {
-  // "alpha" (code 0) exists only in segment 0.  The zone range of `tag`
-  // codes in later segments ([3,5]) would also exclude it — so force the
-  // bitset to do the proving by disabling zone pruning.
-  QuerySpec spec = MakeSpec("bucket", BinningMode::kNominal,
-                            {Agg(AggregateType::kCount)}, /*bins=*/64);
-  expr::Predicate eq;
-  eq.column = "tag";
-  eq.op = expr::CompareOp::kEq;
-  eq.value = 0.0;  // dictionary code of "alpha"
-  spec.filter.And(eq);
-
-  SegmentScanOptions options;
-  options.enable_zone_pruning = false;
-  const auto scanner = Scan(spec, options);
-  EXPECT_GE(scanner->stats().segments_pruned_dict, 1);
-  RunDifferential(spec, "dict-pruned eq(tag)");
-}
-
-TEST(SegmentScanTest, DictPruningHandlesInSetsAndNonIntegralValues) {
-  QuerySpec spec = MakeSpec("bucket", BinningMode::kNominal,
-                            {Agg(AggregateType::kCount)}, /*bins=*/64);
-  expr::Predicate in_set;
-  in_set.column = "tag";
-  in_set.op = expr::CompareOp::kIn;
-  in_set.set_values = {0.5, 4.0};  // 0.5 matches no code; 4 = "epsilon"
-  spec.filter.And(in_set);
-  SegmentScanOptions options;
-  options.enable_zone_pruning = false;
-  const auto scanner = Scan(spec, options);
-  EXPECT_GE(scanner->stats().segments_pruned_dict, 1);
-  RunDifferential(spec, "dict-pruned in(tag, non-integral)");
-}
-
-// --- RLE COUNT fast path ----------------------------------------------------
-
-TEST(SegmentScanTest, RleCountFastPathEngagesAndMatches) {
-  // All-COUNT, single bin dimension, filter on the binned column, and
-  // `bucket` is RLE in every segment — every scanned segment takes the
-  // run fast path.
-  QuerySpec spec = MakeSpec("bucket", BinningMode::kNominal,
-                            {Agg(AggregateType::kCount)}, /*bins=*/64);
-  expr::Predicate range;
-  range.column = "bucket";
-  range.op = expr::CompareOp::kRange;
-  range.lo = 5.0;
-  range.hi = 27.0;
-  spec.filter.And(range);
-
-  const auto scanner = Scan(spec);
-  EXPECT_GT(scanner->stats().segments_count_fastpath, 0);
-  EXPECT_EQ(scanner->stats().segments_count_fastpath,
-            scanner->stats().segments_scanned);
-  RunDifferential(spec, "rle count fast path");
-}
-
-TEST(SegmentScanTest, FastPathDisabledWhenAggregatesNotAllCount) {
-  QuerySpec spec = MakeSpec("bucket", BinningMode::kNominal,
-                            {Agg(AggregateType::kCount),
-                             Agg(AggregateType::kSum, "bucket")},
-                            /*bins=*/64);
-  const auto scanner = Scan(spec);
-  EXPECT_EQ(scanner->stats().segments_count_fastpath, 0);
-  RunDifferential(spec, "sum disables fast path");
-}
-
-// --- Compressed-domain filtered COUNT ---------------------------------------
-
-TEST(SegmentScanTest, CompressedFilterFastPathEngagesAndMatches) {
-  // All-COUNT by `bucket` (RLE in every segment) with predicates on
-  // *other* columns — bit-packed `narrow` and raw-double `value` — so
-  // every scanned segment is answered off the compressed payloads
-  // without a staging decode.
-  QuerySpec spec = MakeSpec("bucket", BinningMode::kNominal,
-                            {Agg(AggregateType::kCount)}, /*bins=*/64);
-  expr::Predicate range;
-  range.column = "narrow";
-  range.op = expr::CompareOp::kRange;
-  range.lo = 520.0;
-  range.hi = 590.0;
-  spec.filter.And(range);
-  expr::Predicate ge;
-  ge.column = "value";
-  ge.op = expr::CompareOp::kGe;  // NaNs never match, as in the kernels
-  ge.value = 250.0;
-  spec.filter.And(ge);
-
-  const auto scanner = Scan(spec);
-  EXPECT_GT(scanner->stats().segments_filter_fastpath, 0);
-  EXPECT_EQ(scanner->stats().segments_filter_fastpath,
-            scanner->stats().segments_scanned);
-  EXPECT_EQ(scanner->stats().segments_count_fastpath, 0);
-  RunDifferential(spec, "compressed filtered count");
-}
-
-TEST(SegmentScanTest, CompressedFilterAllPredicateEncodings) {
-  // One predicate per encoding the filter evaluator handles: RLE
-  // (`bucket`, also the bin column), dictionary-coded strings (`tag`),
-  // raw int64 (`wide`), and raw double (`value`).
-  QuerySpec spec = MakeSpec("bucket", BinningMode::kNominal,
-                            {Agg(AggregateType::kCount)}, /*bins=*/64);
-  expr::Predicate on_bin;
-  on_bin.column = "bucket";
-  on_bin.op = expr::CompareOp::kLe;
-  on_bin.value = 900.0;
-  spec.filter.And(on_bin);
-  expr::Predicate in_set;
-  in_set.column = "tag";
-  in_set.op = expr::CompareOp::kIn;
-  in_set.set_values = {1.0, 4.0};
-  spec.filter.And(in_set);
-  expr::Predicate lt;
-  lt.column = "wide";
-  lt.op = expr::CompareOp::kLt;
-  lt.value = 2.0e11;
-  spec.filter.And(lt);
-  expr::Predicate gt;
-  gt.column = "value";
-  gt.op = expr::CompareOp::kGt;
-  gt.value = -450.0;
-  spec.filter.And(gt);
-
-  const auto scanner = Scan(spec);
-  EXPECT_GT(scanner->stats().segments_filter_fastpath, 0);
-  RunDifferential(spec, "compressed filter, every encoding");
-}
-
-TEST(SegmentScanTest, CompressedFilterDisabledFallsBackToDecode) {
-  QuerySpec spec = MakeSpec("bucket", BinningMode::kNominal,
-                            {Agg(AggregateType::kCount)}, /*bins=*/64);
-  expr::Predicate range;
-  range.column = "narrow";
-  range.op = expr::CompareOp::kRange;
-  range.lo = 520.0;
-  range.hi = 590.0;
-  spec.filter.And(range);
-
-  SegmentScanOptions options;
-  options.enable_compressed_filter_fastpath = false;
-  const auto scanner = Scan(spec, options);
-  EXPECT_EQ(scanner->stats().segments_filter_fastpath, 0);
-  EXPECT_GT(scanner->stats().segments_scanned, 0);
-}
-
+/// Packed predicate columns at every decoder strategy's widths — the
+/// byte-aligned ones (1, 2, 4, 8), 12, and past a byte multiple (13, 20)
+/// — under a range filter, with an RLE bin column, an unaligned tail
+/// (rows % 64 != 0) and a negative frame-of-reference base.
 TEST(SegmentScanTest, CompressedFilterPackedWidthSweep) {
-  // Every evaluation strategy for bit-packed predicate columns: the
-  // byte-SWAR path (widths dividing 8), the plain match table (12), and
-  // the per-row fallback past the table threshold (13, 20) — plus an
-  // unaligned tail (rows % 64 != 0) and a negative frame-of-reference
-  // base.
   for (const int bits : {1, 2, 4, 8, 12, 13, 20}) {
     storage::Schema schema({
         {"b", storage::DataType::kInt64, storage::AttributeKind::kNominal},
         {"p", storage::DataType::kInt64, storage::AttributeKind::kNominal},
     });
-    auto t = std::make_shared<storage::Table>("fact", schema);
+    storage::Table t("fact", schema);
     Rng rng(static_cast<uint64_t>(bits) * 31 + 5);
     const int64_t range = (int64_t{1} << bits) - 1;
     const int64_t base = -(range / 2);
-    const int64_t rows = storage::kSegmentRows + 123;
-    for (int64_t i = 0; i < rows; ++i) {
-      t->mutable_column(0).AppendInt(i / 2048);  // sorted runs -> RLE
-      t->mutable_column(1).AppendInt(base + rng.UniformInt(0, range));
+    for (int64_t i = 0; i < storage::kSegmentRows + 123; ++i) {
+      t.mutable_column(0).AppendInt(i / 2048);  // sorted runs -> RLE
+      t.mutable_column(1).AppendInt(base + rng.UniformInt(0, range));
     }
-    auto catalog = std::make_shared<storage::Catalog>();
-    IDB_CHECK(catalog->AddTable(t).ok());
-
-    const std::string path = std::string(::testing::TempDir()) +
-                             "/packed_filter_" + std::to_string(bits) +
-                             ".seg";
-    ASSERT_TRUE(storage::WriteSegmentFile(*t, path).ok()) << bits;
-    auto file = storage::SegmentFile::Open(path);
-    ASSERT_TRUE(file.ok()) << bits << ": " << file.status();
+    const auto catalog = CatalogOf(std::move(t));
+    const storage::SegmentFile file =
+        PackAndOpen(*catalog->fact_table(),
+                    "packed_filter_" + std::to_string(bits) + ".seg");
+    EXPECT_EQ(file.view(0, 0).encoding, storage::SegmentEncoding::kRle)
+        << bits;
+    EXPECT_EQ(file.view(1, 0).encoding,
+              storage::SegmentEncoding::kBitPacked)
+        << bits;
 
     QuerySpec spec;
     spec.viz_name = "v";
@@ -456,111 +223,40 @@ TEST(SegmentScanTest, CompressedFilterPackedWidthSweep) {
     d.mode = BinningMode::kNominal;
     d.requested_bins = 64;
     spec.bins = {d};
-    spec.aggregates = {Agg(AggregateType::kCount)};
+    spec.aggregates = {Agg(AggregateType::kCount),
+                       Agg(AggregateType::kSum, "p")};
     expr::Predicate lt;
     lt.column = "p";
     lt.op = expr::CompareOp::kLt;
-    // Strictly inside the value range for every width (a threshold at
-    // the zone minimum would let zone pruning skip all segments and the
-    // fast path would never be observed).
     lt.value = static_cast<double>(base + (range + 2) / 2);
     spec.filter.And(lt);
     ASSERT_TRUE(spec.ResolveBins(*catalog).ok()) << bits;
-
-    auto bound = BoundQuery::Bind(spec, *catalog);
-    ASSERT_TRUE(bound.ok()) << bits;
-    BinnedAggregator flat(&*bound, BinnedAggregatorOptions{});
-    flat.ProcessRange(0, rows);
-
-    auto scanner = SegmentTableScanner::Create(&*file, spec);
-    ASSERT_TRUE(scanner.ok()) << bits;
-    ASSERT_TRUE((*scanner)->Execute().ok()) << bits;
-    EXPECT_GT((*scanner)->stats().segments_filter_fastpath, 0) << bits;
-    EXPECT_EQ(flat.rows_matched(),
-              (*scanner)->aggregator().rows_matched())
-        << bits;
-    ExpectResultsIdentical(flat.ExactResult(),
-                           (*scanner)->aggregator().ExactResult(),
-                           "packed filter width " + std::to_string(bits));
-    std::remove(path.c_str());
+    RunDifferential(*catalog, file, spec,
+                    "packed filter width " + std::to_string(bits));
+    if (HasFatalFailure()) return;
   }
 }
 
-// --- Scanner self-consistency across threads --------------------------------
-
-TEST(SegmentScanTest, ThreadCountInvariant) {
-  // Thread-count bit-invariance is promised for aggregates whose partial
-  // sums are exact (see the morsel-merge notes in exec/parallel.cc):
-  // COUNT, MIN/MAX, and SUM over integer-valued columns below 2^53.  SUM
-  // over random doubles legitimately differs in the last bit between the
-  // sequential and partial-merge reduction trees — on the flat path too —
-  // so it is covered by the scanner-vs-flat differentials instead.
-  QuerySpec spec = MakeSpec("tag", BinningMode::kNominal,
-                            {Agg(AggregateType::kCount),
-                             Agg(AggregateType::kSum, "narrow"),
-                             Agg(AggregateType::kMin, "wide"),
-                             Agg(AggregateType::kMax, "wide")});
-  SegmentScanOptions o1;
-  o1.threads = 1;
-  SegmentScanOptions o4;
-  o4.threads = 4;
-  const auto s1 = Scan(spec, o1);
-  const auto s4 = Scan(spec, o4);
-  EXPECT_EQ(s1->aggregator().rows_seen(), s4->aggregator().rows_seen());
-  EXPECT_EQ(s1->aggregator().rows_matched(),
-            s4->aggregator().rows_matched());
-  ExpectResultsIdentical(s1->aggregator().ExactResult(),
-                         s4->aggregator().ExactResult(), "threads 1 vs 4");
-}
-
-TEST(SegmentScanTest, StatsAccountEveryRowExactlyOnce) {
-  QuerySpec spec = MakeSpec("tag", BinningMode::kNominal,
-                            {Agg(AggregateType::kCount)});
-  const auto scanner = Scan(spec);
-  const SegmentScanStats& stats = scanner->stats();
-  EXPECT_EQ(stats.segments_total, SegFile().num_segments());
-  EXPECT_EQ(stats.segments_total,
-            stats.segments_scanned + stats.segments_pruned_zone +
-                stats.segments_pruned_dict);
-  EXPECT_EQ(stats.rows_scanned + stats.rows_skipped, kRows);
-  EXPECT_EQ(scanner->aggregator().rows_seen(), kRows);
-}
-
-TEST(SegmentScanTest, UnknownColumnIsRejected) {
-  QuerySpec spec = MakeSpec("tag", BinningMode::kNominal,
-                            {Agg(AggregateType::kCount)});
-  spec.aggregates.push_back(Agg(AggregateType::kSum, "no_such_column"));
-  auto scanner = SegmentTableScanner::Create(&SegFile(), spec);
-  EXPECT_FALSE(scanner.ok());
-}
-
-// --- Bit-width sweep --------------------------------------------------------
-
-/// Frame-of-reference widths across the supported 1..32 bit range (and a
-/// negative base): every width must decode to scanner results identical
-/// to the flat path.
+/// Frame-of-reference widths across the supported 1..32 bit range with a
+/// negative base, binned and summed over the packed column itself.
 TEST(SegmentScanTest, BitPackedWidthSweep) {
   for (const int bits : {1, 3, 8, 13, 24, 31, 32}) {
     storage::Schema schema({
         {"v", storage::DataType::kInt64, storage::AttributeKind::kNominal},
     });
-    auto t = std::make_shared<storage::Table>("fact", schema);
+    storage::Table t("fact", schema);
     Rng rng(static_cast<uint64_t>(bits) * 7 + 1);
-    const int64_t range = bits >= 63 ? std::numeric_limits<int64_t>::max()
-                                     : (int64_t{1} << bits) - 1;
+    const int64_t range = (int64_t{1} << bits) - 1;
     const int64_t base = -(range / 3);
-    const int64_t rows = storage::kSegmentRows + 777;
-    for (int64_t i = 0; i < rows; ++i) {
-      t->mutable_column(0).AppendInt(base + rng.UniformInt(0, range));
+    for (int64_t i = 0; i < storage::kSegmentRows + 777; ++i) {
+      t.mutable_column(0).AppendInt(base + rng.UniformInt(0, range));
     }
-    auto catalog = std::make_shared<storage::Catalog>();
-    IDB_CHECK(catalog->AddTable(t).ok());
-
-    const std::string path = std::string(::testing::TempDir()) +
-                             "/width_" + std::to_string(bits) + ".seg";
-    ASSERT_TRUE(storage::WriteSegmentFile(*t, path).ok()) << bits;
-    auto file = storage::SegmentFile::Open(path);
-    ASSERT_TRUE(file.ok()) << bits << ": " << file.status();
+    const auto catalog = CatalogOf(std::move(t));
+    const storage::SegmentFile file = PackAndOpen(
+        *catalog->fact_table(), "width_" + std::to_string(bits) + ".seg");
+    const storage::SegmentView& view = file.view(0, 0);
+    EXPECT_EQ(view.encoding, storage::SegmentEncoding::kBitPacked) << bits;
+    EXPECT_EQ(view.bits, bits);
 
     QuerySpec spec;
     spec.viz_name = "v";
@@ -572,22 +268,8 @@ TEST(SegmentScanTest, BitPackedWidthSweep) {
     spec.aggregates = {Agg(AggregateType::kCount),
                        Agg(AggregateType::kSum, "v")};
     ASSERT_TRUE(spec.ResolveBins(*catalog).ok()) << bits;
-
-    auto bound = BoundQuery::Bind(spec, *catalog);
-    ASSERT_TRUE(bound.ok()) << bits;
-    BinnedAggregator flat(&*bound, BinnedAggregatorOptions{});
-    flat.ProcessRange(0, rows);
-
-    auto scanner = SegmentTableScanner::Create(&*file, spec);
-    ASSERT_TRUE(scanner.ok()) << bits;
-    ASSERT_TRUE((*scanner)->Execute().ok()) << bits;
-    EXPECT_EQ(flat.rows_matched(),
-              (*scanner)->aggregator().rows_matched())
-        << bits;
-    ExpectResultsIdentical(flat.ExactResult(),
-                           (*scanner)->aggregator().ExactResult(),
-                           "width " + std::to_string(bits));
-    std::remove(path.c_str());
+    RunDifferential(*catalog, file, spec, "width " + std::to_string(bits));
+    if (HasFatalFailure()) return;
   }
 }
 

@@ -469,7 +469,7 @@ Result<std::vector<testharness::QueryOutcome>> RunWorkflowWithIngest(
   int64_t query_index = 0;
   int64_t boundary_index = 0;
   const testharness::HarnessOptions options;
-  IDB_RETURN_NOT_OK(driver::ForEachInteraction(
+  IDB_RETURN_NOT_OK(workflow::ForEachInteraction(
       catalog, wf,
       [&](const workflow::Interaction& interaction, int64_t interaction_id,
           std::vector<query::QuerySpec>& specs) -> Status {
