@@ -3,7 +3,6 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <system_error>
 
@@ -91,9 +90,8 @@ std::string JsonValue::GetString(const std::string& key,
   return v.is_string() ? v.AsString() : fallback;
 }
 
-namespace {
-
-void EscapeTo(const std::string& s, std::string* out) {
+void AppendJsonString(std::string_view s, std::string* out) {
+  static constexpr char kHex[] = "0123456789abcdef";
   out->push_back('"');
   for (char c : s) {
     switch (c) {
@@ -114,9 +112,9 @@ void EscapeTo(const std::string& s, std::string* out) {
         break;
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          *out += buf;
+          const char escape[] = {'\\', 'u', '0', '0', kHex[(c >> 4) & 0xF],
+                                 kHex[c & 0xF]};
+          out->append(escape, sizeof(escape));
         } else {
           out->push_back(c);
         }
@@ -125,21 +123,28 @@ void EscapeTo(const std::string& s, std::string* out) {
   out->push_back('"');
 }
 
-void NumberTo(double d, std::string* out) {
-  if (std::isfinite(d) && d == std::floor(d) && std::fabs(d) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(d));
-    *out += buf;
-    return;
-  }
+void AppendJsonNumber(double d, std::string* out) {
   if (!std::isfinite(d)) {  // JSON has no Inf/NaN; emit null.
     *out += "null";
     return;
   }
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", d);
-  *out += buf;
+  // std::to_chars with an explicit format is specified as printf's
+  // ("%lld" / "%.17g" here), without printf's format parsing and locale.
+  const bool integral = d == std::floor(d) && std::fabs(d) < 1e15;
+  if (integral && d == 0.0 && std::signbit(d)) {  // "%lld" would drop it
+    *out += "-0";
+    return;
+  }
+  char buf[32];
+  const std::to_chars_result r =
+      integral ? std::to_chars(buf, buf + sizeof(buf),
+                               static_cast<long long>(d))
+               : std::to_chars(buf, buf + sizeof(buf), d,
+                               std::chars_format::general, 17);
+  out->append(buf, r.ptr);
 }
+
+namespace {
 
 void Indent(std::string* out, int indent, int depth) {
   if (indent <= 0) return;
@@ -158,10 +163,10 @@ void JsonValue::DumpTo(std::string* out, int indent, int depth) const {
       *out += bool_ ? "true" : "false";
       return;
     case Type::kNumber:
-      NumberTo(number_, out);
+      AppendJsonNumber(number_, out);
       return;
     case Type::kString:
-      EscapeTo(string_, out);
+      AppendJsonString(string_, out);
       return;
     case Type::kArray: {
       if (array_.empty()) {
@@ -187,7 +192,7 @@ void JsonValue::DumpTo(std::string* out, int indent, int depth) const {
       for (size_t i = 0; i < members_.size(); ++i) {
         if (i > 0) out->push_back(',');
         Indent(out, indent, depth + 1);
-        EscapeTo(members_[i].first, out);
+        AppendJsonString(members_[i].first, out);
         *out += indent > 0 ? ": " : ":";
         members_[i].second.DumpTo(out, indent, depth + 1);
       }

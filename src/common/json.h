@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -83,6 +84,11 @@ class JsonValue {
   /// Serializes to a compact JSON string.
   std::string Dump() const;
 
+  /// Appends the compact serialization to `*out`.
+  void DumpTo(std::string* out) const {
+    DumpTo(out, /*indent=*/0, /*depth=*/0);
+  }
+
   /// Serializes with 2-space indentation.
   std::string DumpPretty() const;
 
@@ -101,6 +107,18 @@ class JsonValue {
   std::vector<JsonValue> array_;
   std::vector<Member> members_;
 };
+
+/// Appends `d` as a JSON number.  Integral values below 1e15 in
+/// magnitude print as integers (`-0.0` as `-0`), other finite values
+/// with 17 significant digits (printf's `%.17g`, so they parse back
+/// bit-identically), and NaN/±Inf as `null`, which JSON has no number
+/// for.  The one number writer: `JsonValue` and the wire's update-frame
+/// writer (net/protocol.h) both call it.
+void AppendJsonNumber(double d, std::string* out);
+
+/// Appends `s` as a quoted JSON string, escaping `"`, `\` and control
+/// characters.  The one string writer, shared like AppendJsonNumber.
+void AppendJsonString(std::string_view s, std::string* out);
 
 }  // namespace idebench
 

@@ -1,22 +1,10 @@
 #include "net/frame.h"
 
-#include <cstring>
-
 #include "common/logging.h"
 
 namespace idebench::net {
 
 namespace {
-
-void AppendHeader(size_t n, std::string* out) {
-  const uint32_t len = static_cast<uint32_t>(n);
-  char header[kFrameHeaderBytes];
-  header[0] = static_cast<char>((len >> 24) & 0xFF);
-  header[1] = static_cast<char>((len >> 16) & 0xFF);
-  header[2] = static_cast<char>((len >> 8) & 0xFF);
-  header[3] = static_cast<char>(len & 0xFF);
-  out->append(header, kFrameHeaderBytes);
-}
 
 uint32_t ReadHeader(const char* data) {
   const unsigned char* u = reinterpret_cast<const unsigned char*>(data);
@@ -27,19 +15,31 @@ uint32_t ReadHeader(const char* data) {
 
 }  // namespace
 
-std::string EncodeFrame(const std::string& payload) {
+size_t BeginFrame(std::string* out) {
+  const size_t start = out->size();
+  out->append(kFrameHeaderBytes, '\0');
+  return start;
+}
+
+void EndFrame(size_t frame_start, std::string* out) {
+  const size_t n = out->size() - frame_start - kFrameHeaderBytes;
   // The length prefix is a u32; anything larger would silently truncate
   // into a corrupt frame.
-  IDB_CHECK(payload.size() <= UINT32_MAX);
-  std::string out;
-  out.reserve(kFrameHeaderBytes + payload.size());
-  AppendHeader(payload.size(), &out);
-  out.append(payload);
-  return out;
+  IDB_CHECK(n <= UINT32_MAX);
+  const uint32_t len = static_cast<uint32_t>(n);
+  char* header = out->data() + frame_start;
+  header[0] = static_cast<char>((len >> 24) & 0xFF);
+  header[1] = static_cast<char>((len >> 16) & 0xFF);
+  header[2] = static_cast<char>((len >> 8) & 0xFF);
+  header[3] = static_cast<char>(len & 0xFF);
 }
 
 std::string EncodeFrame(const JsonValue& message) {
-  return EncodeFrame(message.Dump());
+  std::string out;
+  const size_t start = BeginFrame(&out);
+  message.DumpTo(&out);
+  EndFrame(start, &out);
+  return out;
 }
 
 void FrameDecoder::Feed(const char* data, size_t n) {

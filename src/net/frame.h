@@ -38,11 +38,15 @@ inline constexpr size_t kFrameHeaderBytes = 4;
 /// leaves two orders of magnitude of headroom.
 inline constexpr size_t kDefaultMaxFrameBytes = 4 * 1024 * 1024;
 
-/// Encodes `payload` (already-serialized JSON) as one frame.
-std::string EncodeFrame(const std::string& payload);
-
 /// Encodes `message` as one frame (compact JSON payload).
 std::string EncodeFrame(const JsonValue& message);
+
+/// Frame writers that serialize in place: BeginFrame appends a
+/// placeholder header to `*out` and returns the frame's offset; the
+/// caller appends the payload; EndFrame writes the payload length into
+/// that header.
+size_t BeginFrame(std::string* out);
+void EndFrame(size_t frame_start, std::string* out);
 
 /// Incremental frame parser over a byte stream.  Feed bytes as they
 /// arrive; `Next` yields complete messages in order.

@@ -4,6 +4,8 @@
 #include <utility>
 #include <vector>
 
+#include "net/frame.h"
+
 namespace idebench::net {
 
 JsonValue QueryResultToJson(const query::QueryResult& result) {
@@ -65,25 +67,88 @@ Result<query::QueryResult> QueryResultFromJson(const JsonValue& j) {
   return result;
 }
 
-JsonValue UpdateToJson(const session::ProgressiveUpdate& update) {
-  JsonValue j = JsonValue::Object();
-  j.Set("type", "update");
-  j.Set("session", update.session_id);
-  j.Set("query", update.query_id);
-  j.Set("interaction", update.interaction_id);
-  j.Set("viz", update.viz_name);
-  j.Set("confidence", update.confidence);
-  j.Set("progress", update.progress);
-  j.Set("virtual_time", update.virtual_time);
-  j.Set("consumed", update.consumed);
-  j.Set("budget", update.budget);
-  j.Set("final", update.final_update);
-  j.Set("completed", update.completed);
-  j.Set("cancelled", update.cancelled);
-  j.Set("unsupported", update.unsupported);
-  j.Set("failed", update.failed);
-  j.Set("result", QueryResultToJson(update.result));
-  return j;
+namespace {
+
+// The writers below mirror QueryResultToJson(...).Dump() and the member
+// order UpdateFromJson reads; integers go through AppendJsonNumber as
+// doubles, exactly as a JsonValue holds them.
+void AppendBool(bool b, std::string* out) { *out += b ? "true" : "false"; }
+
+void AppendInt(int64_t i, std::string* out) {
+  AppendJsonNumber(static_cast<double>(i), out);
+}
+
+void AppendResult(const query::QueryResult& result, std::string* out) {
+  *out += "{\"available\":";
+  AppendBool(result.available, out);
+  *out += ",\"exact\":";
+  AppendBool(result.exact, out);
+  *out += ",\"progress\":";
+  AppendJsonNumber(result.progress, out);
+  *out += ",\"rows\":";
+  AppendInt(result.rows_processed, out);
+  *out += ",\"bins\":[";
+  std::vector<std::pair<int64_t, const query::BinResult*>> bins;
+  bins.reserve(result.bins.size());
+  for (const auto& [key, bin] : result.bins) bins.emplace_back(key, &bin);
+  std::sort(bins.begin(), bins.end(),
+            [](const auto& a, const auto& b) { return a.first < b.first; });
+  for (size_t b = 0; b < bins.size(); ++b) {
+    if (b > 0) out->push_back(',');
+    out->push_back('[');
+    AppendInt(bins[b].first, out);
+    *out += ",[";
+    const std::vector<query::AggValue>& values = bins[b].second->values;
+    for (size_t v = 0; v < values.size(); ++v) {
+      if (v > 0) out->push_back(',');
+      out->push_back('[');
+      AppendJsonNumber(values[v].estimate, out);
+      out->push_back(',');
+      AppendJsonNumber(values[v].margin, out);
+      out->push_back(']');
+    }
+    *out += "]]";
+  }
+  *out += "]}";
+}
+
+}  // namespace
+
+void AppendUpdateFrame(const session::ProgressiveUpdate& update,
+                       std::string* out) {
+  const size_t frame = BeginFrame(out);
+  *out += "{\"type\":\"update\",\"session\":";
+  AppendInt(update.session_id, out);
+  *out += ",\"query\":";
+  AppendInt(update.query_id, out);
+  *out += ",\"interaction\":";
+  AppendInt(update.interaction_id, out);
+  *out += ",\"viz\":";
+  AppendJsonString(update.viz_name, out);
+  *out += ",\"confidence\":";
+  AppendJsonNumber(update.confidence, out);
+  *out += ",\"progress\":";
+  AppendJsonNumber(update.progress, out);
+  *out += ",\"virtual_time\":";
+  AppendInt(update.virtual_time, out);
+  *out += ",\"consumed\":";
+  AppendInt(update.consumed, out);
+  *out += ",\"budget\":";
+  AppendInt(update.budget, out);
+  *out += ",\"final\":";
+  AppendBool(update.final_update, out);
+  *out += ",\"completed\":";
+  AppendBool(update.completed, out);
+  *out += ",\"cancelled\":";
+  AppendBool(update.cancelled, out);
+  *out += ",\"unsupported\":";
+  AppendBool(update.unsupported, out);
+  *out += ",\"failed\":";
+  AppendBool(update.failed, out);
+  *out += ",\"result\":";
+  AppendResult(update.result, out);
+  out->push_back('}');
+  EndFrame(frame, out);
 }
 
 Result<session::ProgressiveUpdate> UpdateFromJson(const JsonValue& j) {

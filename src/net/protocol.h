@@ -32,7 +32,7 @@
 ///                   "ingest_shed" / "no_ingestor" / "invalid_rows" /
 ///                   "ingest_capacity" / "ingest_fault")
 ///   appended       {type, request, staged, watermark, published}
-///   update         {type, ... see UpdateToJson}
+///   update         {type, ... see AppendUpdateFrame}
 ///   session_closed {type, session}
 ///   stats_report   {type, scheduler: {...}, ratekeeper: {...},
 ///                   server: {...}}
@@ -57,8 +57,14 @@ inline constexpr int kProtocolVersion = 1;
 JsonValue QueryResultToJson(const query::QueryResult& result);
 Result<query::QueryResult> QueryResultFromJson(const JsonValue& j);
 
-/// Serializes one pushed update (type "update").
-JsonValue UpdateToJson(const session::ProgressiveUpdate& update);
+/// Appends one pushed update (type "update") to `*out` as a complete
+/// frame (net/frame.h), written straight from the struct with no
+/// JsonValue tree in between.  Members, in order: type, session, query,
+/// interaction, viz, confidence, progress, virtual_time, consumed,
+/// budget, final, completed, cancelled, unsupported, failed, result;
+/// `result` is byte-identical to `QueryResultToJson(update.result).Dump()`.
+void AppendUpdateFrame(const session::ProgressiveUpdate& update,
+                       std::string* out);
 Result<session::ProgressiveUpdate> UpdateFromJson(const JsonValue& j);
 
 /// Message constructors (the trivial ones clients and server share).

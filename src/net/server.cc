@@ -578,8 +578,9 @@ void Server::OnUpdate(Connection* conn,
       ++stats_.finals_after_disconnect;
       return;
     }
-    Enqueue(conn, QueuedFrame{EncodeFrame(UpdateToJson(update)),
-                              update.query_id, /*final_update=*/true});
+    QueuedFrame frame{{}, update.query_id, /*final_update=*/true};
+    AppendUpdateFrame(update, &frame.bytes);
+    Enqueue(conn, std::move(frame));
     return;
   }
   if (conn->dead) return;  // partials to a gone client are worthless
@@ -601,7 +602,8 @@ void Server::OnUpdate(Connection* conn,
   for (size_t i = conn->write_queue.size(); i-- > 1;) {
     QueuedFrame& pending = conn->write_queue[i];
     if (pending.query_id == update.query_id && !pending.final_update) {
-      pending.bytes = EncodeFrame(UpdateToJson(update));
+      pending.bytes.clear();
+      AppendUpdateFrame(update, &pending.bytes);
       ++stats_.partials_coalesced;
       if (sit != streams_.end()) sit->second.last_partial = update.virtual_time;
       return;
@@ -611,7 +613,8 @@ void Server::OnUpdate(Connection* conn,
   if (!conn->write_queue.empty() && conn->front_written == 0) {
     QueuedFrame& front = conn->write_queue.front();
     if (front.query_id == update.query_id && !front.final_update) {
-      front.bytes = EncodeFrame(UpdateToJson(update));
+      front.bytes.clear();
+      AppendUpdateFrame(update, &front.bytes);
       ++stats_.partials_coalesced;
       if (sit != streams_.end()) sit->second.last_partial = update.virtual_time;
       return;
@@ -624,8 +627,9 @@ void Server::OnUpdate(Connection* conn,
     return;
   }
   if (sit != streams_.end()) sit->second.last_partial = update.virtual_time;
-  Enqueue(conn, QueuedFrame{EncodeFrame(UpdateToJson(update)),
-                            update.query_id, /*final_update=*/false});
+  QueuedFrame frame{{}, update.query_id, /*final_update=*/false};
+  AppendUpdateFrame(update, &frame.bytes);
+  Enqueue(conn, std::move(frame));
 }
 
 void Server::Enqueue(Connection* conn, QueuedFrame frame) {

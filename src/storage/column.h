@@ -92,12 +92,6 @@ class Column {
   /// Appends row `row` of `other` (same type required).
   void AppendFrom(const Column& other, int64_t row);
 
-  /// Appends `n` zero rows in bulk: value 0 for int64, 0.0 for double,
-  /// dictionary code 0 for strings (the dictionary must be non-empty).
-  /// Stats and zone map end up bit-identical to `n` single appends, but
-  /// the fold runs once per zone block instead of once per row.
-  void AppendPlaceholderZeros(int64_t n);
-
   /// Reserves capacity for `n` rows.
   void Reserve(int64_t n);
 

@@ -1,6 +1,15 @@
 #include "common/json.h"
 
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
+#include <string>
+
 #include <gtest/gtest.h>
+
+#include "common/random.h"
 
 namespace idebench {
 namespace {
@@ -139,6 +148,62 @@ TEST(JsonTest, EqualityIsStructural) {
 TEST(JsonTest, LargeIntegersKeepPrecision) {
   JsonValue v(int64_t{123456789012345});
   EXPECT_EQ(v.Dump(), "123456789012345");
+}
+
+TEST(JsonTest, NegativeZeroKeepsSign) {
+  EXPECT_EQ(JsonValue(-0.0).Dump(), "-0");
+  EXPECT_EQ(JsonValue(0.0).Dump(), "0");
+  auto parsed = JsonValue::Parse(JsonValue(-0.0).Dump());
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed->AsDouble(), 0.0);
+  EXPECT_TRUE(std::signbit(parsed->AsDouble()));
+  // Non-finite values are still null: JSON has no number for them.
+  EXPECT_EQ(JsonValue(std::nan("")).Dump(), "null");
+  EXPECT_EQ(JsonValue(-std::numeric_limits<double>::infinity()).Dump(),
+            "null");
+}
+
+/// What AppendJsonNumber promises for a finite value: printf's "%lld"
+/// for integral values below 1e15 in magnitude, "%.17g" otherwise.
+std::string PrintfNumber(double d) {
+  char buf[40];
+  if (d == std::floor(d) && std::fabs(d) < 1e15) {
+    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(d));
+  } else {
+    std::snprintf(buf, sizeof(buf), "%.17g", d);
+  }
+  return buf;
+}
+
+TEST(JsonTest, NumbersMatchPrintfFormats) {
+  const auto check = [](double d) {
+    std::string out;
+    AppendJsonNumber(d, &out);
+    ASSERT_EQ(out, PrintfNumber(d)) << "bits of " << out;
+  };
+  for (const double d :
+       {0.0, 1.0, -1.0, 0.1, 0.5, -2.75, 123.456, 1e-7, 1e15, -1e15,
+        1e15 + 1, 999999999999999.0, -999999999999999.0, 999999999999999.5,
+        9007199254740993.0, 1e21, 1e300, std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::lowest(),
+        std::numeric_limits<double>::min(),
+        std::numeric_limits<double>::denorm_min(),
+        std::numeric_limits<double>::epsilon()}) {
+    check(d);
+  }
+  Rng rng(1307);
+  for (int i = 0; i < 20000; ++i) {
+    // Every finite bit pattern (all exponents, subnormals included),
+    // then integers on both sides of the 1e15 switch.
+    const uint64_t bits = rng.Next();
+    double d = 0.0;
+    std::memcpy(&d, &bits, sizeof(d));
+    if (std::isfinite(d) && d != 0.0) check(d);
+    check(static_cast<double>(rng.UniformInt(-(int64_t{1} << 53),
+                                             int64_t{1} << 53)));
+    check(static_cast<double>(rng.UniformInt(-2'000'000, 2'000'000)));
+    check(rng.Uniform(-1e6, 1e6));
+  }
 }
 
 }  // namespace

@@ -181,6 +181,70 @@ TEST(NetServerTest, LoopbackSubmitStreamsUpdatesToFinal) {
   EXPECT_EQ(fixture.server().ratekeeper().live(), 0);
 }
 
+TEST(NetServerTest, StatsFrameReportsServerCounters) {
+  engines::ProgressiveEngineConfig config;
+  config.query_overhead_us = 0;
+  config.restart_overhead_us = 0;
+  config.sample_us_per_row = 50'000.0;  // several partials before the final
+  engines::ProgressiveEngine engine(config);
+  auto catalog = testutil::MakeTinyCatalog();
+  catalog->set_nominal_rows(1'000'000);
+  ASSERT_TRUE(engine.Prepare(catalog).ok());
+
+  ServerFixture fixture(VirtualModeOptions(), &engine, catalog);
+  auto client = Client::Connect("127.0.0.1", fixture.server().port(), "test");
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  auto session = (*client)->OpenSession();
+  ASSERT_TRUE(session.ok());
+  ASSERT_TRUE((*client)->Send(InteractionRequest(*session, 1, "viz_0")).ok());
+  ASSERT_TRUE((*client)->WaitFor("submitted", kWait).ok());
+
+  int64_t updates_received = 0;
+  bool saw_final = false;
+  while (!saw_final) {
+    JsonValue msg;
+    auto next = (*client)->Next(&msg, kWait);
+    ASSERT_TRUE(next.ok()) << next.status().ToString();
+    ASSERT_TRUE(*next) << "timed out before the terminal update";
+    if (MessageType(msg) != "update") continue;
+    ++updates_received;
+    saw_final = msg.GetBool("final", false);
+  }
+  EXPECT_GE(updates_received, 2);
+
+  JsonValue request = JsonValue::Object();
+  request.Set("type", "stats");
+  ASSERT_TRUE((*client)->Send(request).ok());
+  auto report = (*client)->WaitFor("stats_report", kWait);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  const JsonValue& scheduler = report->Get("scheduler");
+  const JsonValue& keeper = report->Get("ratekeeper");
+  const JsonValue& server = report->Get("server");
+  ASSERT_TRUE(scheduler.is_object() && keeper.is_object() &&
+              server.is_object());
+
+  EXPECT_EQ(scheduler.GetInt("submitted", -1), 1);
+  EXPECT_EQ(scheduler.GetInt("completed", -1), 1);
+  EXPECT_EQ(keeper.GetInt("admitted", -1), 1);
+  EXPECT_EQ(keeper.GetInt("rejected", -1), 0);
+  EXPECT_EQ(keeper.GetInt("live", -1), 0);
+  // Every update frame the client read was fully written, and each one
+  // the scheduler pushed was either sent or dropped while none coalesced.
+  EXPECT_EQ(server.GetInt("updates_sent", -1), updates_received);
+  EXPECT_EQ(server.GetInt("partials_coalesced", -1), 0);
+  EXPECT_EQ(scheduler.GetInt("updates_pushed", -1),
+            server.GetInt("updates_sent", -1) +
+                server.GetInt("partials_dropped", -1));
+  EXPECT_EQ(server.GetInt("finals_after_disconnect", -1), 0);
+  EXPECT_EQ(server.GetInt("protocol_errors", -1), 0);
+  EXPECT_EQ(server.GetInt("connections_accepted", -1), 1);
+  EXPECT_FALSE(server.Has("wal_syncs"));  // no ingestor attached
+
+  ASSERT_TRUE((*client)->CloseSession(*session).ok());
+  fixture.Stop();
+  EXPECT_TRUE(fixture.serve_status().ok());
+}
+
 TEST(NetServerTest, OverloadDegradesThenRejectsExplicitly) {
   // Blocking engine on a huge nominal table: every query runs to its
   // deadline, so live count builds up fast.
