@@ -49,7 +49,8 @@ struct RatekeeperOptions {
   /// budgets by 1 - (1 - min) * k / degrade_levels.
   double min_budget_scale = 0.25;
   /// Partial-update cadence floor at level k: interval << (k - 1), 0 at
-  /// level 0 (every materialized advance streams).
+  /// level 0.  `net::Server` streams at most one partial per
+  /// max(scheduler quantum, this floor) of virtual time per query.
   Micros degraded_update_interval = 50'000;  // 50ms at level 1
 
   /// Per-tenant tag throttle: a token bucket admitting `tenant_rate`

@@ -311,6 +311,8 @@ void Server::HandleMessage(Connection* conn, const JsonValue& msg) {
     scheduler.Set("unsupported", ss.unsupported);
     scheduler.Set("failed", ss.failed);
     scheduler.Set("updates_pushed", ss.updates_pushed);
+    scheduler.Set("partial_updates", ss.partial_updates);
+    scheduler.Set("partials_declined", ss.partials_declined);
     scheduler.Set("max_deadline_overshoot", ss.max_deadline_overshoot);
     scheduler.Set("virtual_now", ss.virtual_now);
     JsonValue keeper = JsonValue::Object();
@@ -426,8 +428,11 @@ void Server::HandleInteraction(Connection* conn, const JsonValue& msg) {
     if (sq.unsupported) continue;  // already terminal, never live
     ++live;
     tracked_.insert(sq.query_id);
-    streams_[sq.query_id] =
-        QueryStream{decision.update_interval, /*last_partial=*/-1};
+    // Level 0 streams one partial per scheduler quantum; degraded
+    // levels stretch that to the ratekeeper's longer interval.
+    streams_[sq.query_id] = QueryStream{
+        std::max(options_.scheduler.quantum, decision.update_interval),
+        /*last_partial=*/-1};
   }
   ratekeeper_.OnAdmitted(live);
 
@@ -572,9 +577,9 @@ void Server::OnUpdate(Connection* conn,
     if (tracked_.erase(update.query_id) > 0) ratekeeper_.OnFinalized(1);
     streams_.erase(update.query_id);
     if (conn->dead) {
-      // The client is gone; its admitted queries still finalize.  This
-      // is the one place a terminal update misses the wire, and it is
-      // counted, never silent.
+      // The client is gone; its admitted queries still finalize.  A
+      // terminal update that misses the wire is counted, never silent
+      // (SweepDead counts the ones still queued at the close).
       ++stats_.finals_after_disconnect;
       return;
     }
@@ -583,53 +588,51 @@ void Server::OnUpdate(Connection* conn,
     Enqueue(conn, std::move(frame));
     return;
   }
-  if (conn->dead) return;  // partials to a gone client are worthless
-
-  // Degraded cadence: at level > 0 a query streams at most one partial
-  // per update_interval of virtual time.
+  // A partial arrives only after WantsPartial said yes: the client is
+  // alive, the stream is due, and the queue has room or holds this
+  // query's queued partial.
   auto sit = streams_.find(update.query_id);
-  if (sit != streams_.end() && sit->second.update_interval > 0 &&
-      sit->second.last_partial >= 0 &&
-      update.virtual_time - sit->second.last_partial <
-          sit->second.update_interval) {
-    ++stats_.partials_dropped;
-    return;
-  }
-
+  if (sit != streams_.end()) sit->second.last_partial = update.virtual_time;
   // Coalescing: a queued, not-yet-sent partial for the same query is
   // replaced in place — a slow client sees the newest snapshot, and the
   // queue never grows because of one chatty query.
-  for (size_t i = conn->write_queue.size(); i-- > 1;) {
-    QueuedFrame& pending = conn->write_queue[i];
-    if (pending.query_id == update.query_id && !pending.final_update) {
-      pending.bytes.clear();
-      AppendUpdateFrame(update, &pending.bytes);
-      ++stats_.partials_coalesced;
-      if (sit != streams_.end()) sit->second.last_partial = update.virtual_time;
-      return;
-    }
-  }
-  // Index 0 is skipped above (possibly mid-write); check it separately.
-  if (!conn->write_queue.empty() && conn->front_written == 0) {
-    QueuedFrame& front = conn->write_queue.front();
-    if (front.query_id == update.query_id && !front.final_update) {
-      front.bytes.clear();
-      AppendUpdateFrame(update, &front.bytes);
-      ++stats_.partials_coalesced;
-      if (sit != streams_.end()) sit->second.last_partial = update.virtual_time;
-      return;
-    }
-  }
-
-  if (conn->write_queue.size() >= options_.write_queue_soft_limit) {
-    // Soft limit: partials are best effort and shed first.
-    ++stats_.partials_dropped;
+  if (QueuedFrame* pending = QueuedPartial(conn, update.query_id)) {
+    pending->bytes.clear();
+    AppendUpdateFrame(update, &pending->bytes);
+    ++stats_.partials_coalesced;
     return;
   }
-  if (sit != streams_.end()) sit->second.last_partial = update.virtual_time;
   QueuedFrame frame{{}, update.query_id, /*final_update=*/false};
   AppendUpdateFrame(update, &frame.bytes);
   Enqueue(conn, std::move(frame));
+}
+
+bool Server::WantsPartial(Connection* conn, int64_t query_id,
+                          Micros virtual_time) {
+  if (conn->dead) return false;  // partials to a gone client are worthless
+  // Cadence: a query streams at most one partial per update_interval of
+  // virtual time (the quantum at level 0, longer when degraded).  The
+  // first partial is always due.
+  auto sit = streams_.find(query_id);
+  if (sit != streams_.end() && sit->second.last_partial >= 0 &&
+      virtual_time - sit->second.last_partial < sit->second.update_interval) {
+    return false;
+  }
+  // Soft limit: partials are best effort and shed first; past it only
+  // replacing this query's queued partial is free.
+  return conn->write_queue.size() < options_.write_queue_soft_limit ||
+         QueuedPartial(conn, query_id) != nullptr;
+}
+
+Server::QueuedFrame* Server::QueuedPartial(Connection* conn,
+                                           int64_t query_id) {
+  // The front frame is off limits while partly written.
+  const size_t first = conn->front_written > 0 ? 1 : 0;
+  for (size_t i = conn->write_queue.size(); i-- > first;) {
+    QueuedFrame& frame = conn->write_queue[i];
+    if (frame.query_id == query_id && !frame.final_update) return &frame;
+  }
+  return nullptr;
 }
 
 void Server::Enqueue(Connection* conn, QueuedFrame frame) {
@@ -693,6 +696,17 @@ void Server::SweepDead() {
     // One best-effort non-blocking flush so a queued error frame (the
     // reason for the kill) can still reach the peer before the close.
     FlushWrites(conn.get());
+    // Updates still queued never reach the peer: count them, so every
+    // pushed update is sent, coalesced, dropped or a final after
+    // disconnect.
+    for (const QueuedFrame& frame : conn->write_queue) {
+      if (frame.final_update) {
+        ++stats_.finals_after_disconnect;
+      } else if (frame.query_id >= 0) {
+        ++stats_.partials_dropped;
+      }
+    }
+    conn->write_queue.clear();
     // Draining the sessions pushes terminal cancelled updates through
     // the (dead) sink, which counts them explicitly.
     for (auto& [id, session] : conn->sessions) {

@@ -29,11 +29,19 @@
 ///
 ///  * *Backpressure.*  Per-connection write queues are bounded: a slow
 ///    client's partial updates coalesce in place (newest replaces the
-///    queued one for the same query) and are dropped past the soft
+///    queued one for the same query) and are declined past the soft
 ///    limit; terminal updates always enqueue, and a client that cannot
 ///    even drain those is disconnected — explicitly counted, sessions
 ///    drained — rather than buffered without bound.  One stuck
 ///    connection never stalls the loop or other sessions.
+///
+/// Partials are demand-driven.  The scheduler asks the connection's
+/// sink (`WantsPartial`) before it polls the engine, and the sink says
+/// yes only when the connection is alive, the query's stream is due and
+/// the write queue can take the frame.  A query streams at most one
+/// partial per `scheduler.quantum` of virtual time at level 0 and per
+/// `max(quantum, degraded_update_interval << (level - 1))` when
+/// degraded; its first partial and its final are never held back.
 ///
 /// Threading: the loop, the manager and the ratekeeper live on the
 /// thread calling Serve().  `RequestStop` is the only cross-thread entry
@@ -96,9 +104,12 @@ struct ServerStats {
   int64_t frames_sent = 0;
   int64_t updates_sent = 0;          // update frames fully written
   int64_t partials_coalesced = 0;    // replaced in-queue by a newer partial
-  int64_t partials_dropped = 0;      // shed at the soft limit / cadence
+  int64_t partials_dropped = 0;      // queued, then discarded unsent when
+                                     // the connection closed
   int64_t finals_after_disconnect = 0;  // terminal updates whose client was
-                                        // already gone — counted, never silent
+                                        // gone (or that were still queued
+                                        // at the close) — counted, never
+                                        // silent
   int64_t slow_client_disconnects = 0;  // hard write-queue breaches
   int64_t protocol_errors = 0;
   Micros max_backlog = 0;  // peak wall-minus-virtual lag (wall mode)
@@ -151,13 +162,17 @@ class Server {
  private:
   struct Connection;
 
-  /// Per-connection ResultSink: forwards every pushed update into the
-  /// connection's write queue with coalescing + cadence + the explicit
-  /// post-disconnect accounting.
+  /// Per-connection ResultSink: declines partials the connection would
+  /// not deliver (dead, not due, queue full) before the engine is
+  /// polled, and forwards every pushed update into the write queue with
+  /// coalescing and the explicit post-disconnect accounting.
   class ConnectionSink : public session::ResultSink {
    public:
     ConnectionSink(Server* server, Connection* conn)
         : server_(server), conn_(conn) {}
+    bool WantsPartial(int64_t query_id, Micros virtual_time) override {
+      return server_->WantsPartial(conn_, query_id, virtual_time);
+    }
     void OnUpdate(const session::ProgressiveUpdate& update) override {
       server_->OnUpdate(conn_, update);
     }
@@ -176,7 +191,7 @@ class Server {
     bool final_update = false;
   };
 
-  /// Per-query streaming state while admitted (degraded cadence).
+  /// Per-query streaming state while admitted (partial cadence).
   struct QueryStream {
     Micros update_interval = 0;  // min virtual-time gap between partials
     Micros last_partial = -1;    // virtual time of the last queued partial
@@ -209,7 +224,11 @@ class Server {
   void SweepDead();
   void CloseAll();
 
+  bool WantsPartial(Connection* conn, int64_t query_id, Micros virtual_time);
   void OnUpdate(Connection* conn, const session::ProgressiveUpdate& update);
+  /// The queued partial of `query_id` that a newer one may replace (the
+  /// front frame only before any of it was written), or null.
+  static QueuedFrame* QueuedPartial(Connection* conn, int64_t query_id);
   void Enqueue(Connection* conn, QueuedFrame frame);
   void SendMessage(Connection* conn, const JsonValue& msg);
   void KillConnection(Connection* conn);

@@ -361,6 +361,12 @@ ProgressiveUpdate SessionManager::MakeUpdate(const LiveQuery& q) const {
 }
 
 void SessionManager::PushPartial(LiveQuery* q) {
+  // The sink decides first: a partial it would not deliver costs no
+  // engine poll.
+  if (!q->sink->WantsPartial(q->query_id, virtual_now_)) {
+    ++stats_.partials_declined;
+    return;
+  }
   auto result = engine_->PollResult(q->handle);
   if (!result.ok() || !result->available) return;
   // Stream only when new bins materialized since the last push.

@@ -79,11 +79,11 @@
 namespace idebench::session {
 
 /// One pushed result event.  Non-final updates stream while a query runs
-/// (when the manager's `push_partials` is on and the engine has a
-/// fetchable intermediate answer); exactly one final update is pushed per
-/// submitted query — on completion, deadline cancellation, client
-/// cancellation, engine failure after exhausted retries, or immediately
-/// for queries the engine cannot run.
+/// (when the manager's `push_partials` is on, the sink wants one and the
+/// engine has a fetchable intermediate answer); exactly one final update
+/// is pushed per submitted query — on completion, deadline cancellation,
+/// client cancellation, engine failure after exhausted retries, or
+/// immediately for queries the engine cannot run.
 struct ProgressiveUpdate {
   int64_t session_id = 0;
   int64_t query_id = 0;        // manager-global query identifier
@@ -111,6 +111,18 @@ struct ProgressiveUpdate {
 class ResultSink {
  public:
   virtual ~ResultSink() = default;
+
+  /// Asked before every partial of `query_id` at `virtual_time`: the
+  /// manager polls the engine (the estimate and its CIs) and pushes the
+  /// partial only when this returns true.  A sink that would shed the
+  /// partial anyway declines here, so nobody computes it.  Finals are
+  /// never asked.  The default accepts every partial.
+  virtual bool WantsPartial(int64_t query_id, Micros virtual_time) {
+    (void)query_id;
+    (void)virtual_time;
+    return true;
+  }
+
   virtual void OnUpdate(const ProgressiveUpdate& update) = 0;
 };
 
@@ -131,12 +143,15 @@ struct SessionManagerOptions {
   /// query receives its whole pending entitlement once per scheduling
   /// horizon, which reproduces the seed driver's call sequence exactly
   /// (the single-session parity mode).  > 0 = slice the horizon so live
-  /// queries interleave at `quantum` granularity and partial results
-  /// stream while others run.
+  /// queries interleave at `quantum` granularity; a partial may follow
+  /// any slice, and `net::Server` streams at most one per `quantum` of
+  /// virtual time per query.
   Micros quantum = 0;
 
-  /// Push non-final updates whenever a query's fetchable answer advanced
-  /// since the last push.  Off, only final updates are delivered.
+  /// After every slice of a running query, ask the sink's
+  /// `WantsPartial`; when it says yes, poll the engine and push the
+  /// answer if it advanced since the last push.  Off, only final
+  /// updates are delivered.
   bool push_partials = true;
 
   /// Confidence level stamped on updates (matches the engine's).
@@ -168,6 +183,7 @@ struct SchedulerStats {
   int64_t retries = 0;             // successful resubmissions after a fault
   int64_t updates_pushed = 0;      // final + partial
   int64_t partial_updates = 0;
+  int64_t partials_declined = 0;   // sink declined; engine not polled
   /// Max (finalize time - deadline) over all queries; the scheduler
   /// guarantees 0 — no query ever starves past its time requirement.
   Micros max_deadline_overshoot = 0;

@@ -229,16 +229,108 @@ TEST(NetServerTest, StatsFrameReportsServerCounters) {
   EXPECT_EQ(keeper.GetInt("rejected", -1), 0);
   EXPECT_EQ(keeper.GetInt("live", -1), 0);
   // Every update frame the client read was fully written, and each one
-  // the scheduler pushed was either sent or dropped while none coalesced.
+  // the scheduler pushed was sent, dropped or coalesced.  Declined
+  // partials were never pushed, so they appear in none of these.
   EXPECT_EQ(server.GetInt("updates_sent", -1), updates_received);
   EXPECT_EQ(server.GetInt("partials_coalesced", -1), 0);
   EXPECT_EQ(scheduler.GetInt("updates_pushed", -1),
             server.GetInt("updates_sent", -1) +
-                server.GetInt("partials_dropped", -1));
+                server.GetInt("partials_dropped", -1) +
+                server.GetInt("partials_coalesced", -1));
+  EXPECT_EQ(scheduler.GetInt("partial_updates", -1),
+            scheduler.GetInt("updates_pushed", -1) - 1);
+  EXPECT_GE(scheduler.GetInt("partials_declined", -1), 0);  // exported
   EXPECT_EQ(server.GetInt("finals_after_disconnect", -1), 0);
   EXPECT_EQ(server.GetInt("protocol_errors", -1), 0);
   EXPECT_EQ(server.GetInt("connections_accepted", -1), 1);
   EXPECT_FALSE(server.Has("wal_syncs"));  // no ingestor attached
+
+  ASSERT_TRUE((*client)->CloseSession(*session).ok());
+  fixture.Stop();
+  EXPECT_TRUE(fixture.serve_status().ok());
+}
+
+TEST(NetServerTest, WallPacedPartialsRespectQuantumCadence) {
+  // A wall-paced loop advances the scheduler every pass, a few ms at a
+  // time, and the query's sample grows on each of those slices.  The
+  // server must still stream at most one partial per quantum.
+  constexpr int kRows = 4'000;
+  storage::Table table("tiny", testutil::MakeTinyTable().schema());
+  for (int i = 0; i < kRows; ++i) {
+    table.mutable_column(0).AppendDouble(static_cast<double>(i));
+    table.mutable_column(1).AppendString(i % 2 == 0 ? "a" : "b");
+    table.mutable_column(2).AppendInt(i % 2);
+  }
+  auto catalog = std::make_shared<storage::Catalog>();
+  ASSERT_TRUE(
+      catalog->AddTable(std::make_shared<storage::Table>(std::move(table)))
+          .ok());
+  catalog->set_nominal_rows(1'000'000);
+  engines::ProgressiveEngineConfig config;
+  config.query_overhead_us = 0;
+  config.restart_overhead_us = 0;
+  config.sample_us_per_row = 250.0;  // 4000 rows = 1 s: runs to the TR
+  engines::ProgressiveEngine engine(config);
+  ASSERT_TRUE(engine.Prepare(catalog).ok());
+
+  constexpr Micros kQuantum = 50'000;
+  constexpr Micros kTr = 600'000;
+  ServerOptions options;
+  options.wall_pacing = true;
+  options.poll_interval = 1'000;
+  options.scheduler.time_requirement = kTr;
+  options.scheduler.quantum = kQuantum;
+  ServerFixture fixture(options, &engine, catalog);
+  auto client = Client::Connect("127.0.0.1", fixture.server().port(), "test");
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  auto session = (*client)->OpenSession();
+  ASSERT_TRUE(session.ok());
+  ASSERT_TRUE((*client)->Send(InteractionRequest(*session, 1, "viz_0")).ok());
+  auto submitted = (*client)->WaitFor("submitted", kWait);
+  ASSERT_TRUE(submitted.ok()) << submitted.status().ToString();
+  ASSERT_EQ(submitted->GetInt("degrade_level", -1), 0);
+
+  std::vector<Micros> partial_times;
+  int finals = 0;
+  Micros final_time = -1;
+  while (finals == 0) {
+    JsonValue msg;
+    auto next = (*client)->Next(&msg, kWait);
+    ASSERT_TRUE(next.ok()) << next.status().ToString();
+    ASSERT_TRUE(*next) << "timed out before the terminal update";
+    if (MessageType(msg) != "update") continue;
+    if (msg.GetBool("final", false)) {
+      ++finals;
+      final_time = msg.GetInt("virtual_time", -1);
+      EXPECT_TRUE(msg.GetBool("cancelled", false));
+    } else {
+      partial_times.push_back(msg.GetInt("virtual_time", -1));
+    }
+  }
+
+  JsonValue request = JsonValue::Object();
+  request.Set("type", "stats");
+  ASSERT_TRUE((*client)->Send(request).ok());
+  auto report = (*client)->WaitFor("stats_report", kWait);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  // No second terminal arrived before the stats reply.
+  EXPECT_EQ(finals, 1);
+
+  // The query ran to its deadline, so it was admitted at final - TR; its
+  // first partial streams on its first slice, not a quantum later.
+  ASSERT_GE(partial_times.size(), 2u);
+  const Micros admitted_at = final_time - kTr;
+  EXPECT_GT(partial_times.front(), admitted_at);
+  EXPECT_LE(partial_times.front() - admitted_at, kQuantum);
+  for (size_t i = 1; i < partial_times.size(); ++i) {
+    EXPECT_GE(partial_times[i] - partial_times[i - 1], kQuantum)
+        << "partial " << i;
+  }
+  const JsonValue& scheduler = report->Get("scheduler");
+  EXPECT_GT(scheduler.GetInt("partials_declined", -1), 0);
+  EXPECT_EQ(scheduler.GetInt("partial_updates", -1),
+            static_cast<int64_t>(partial_times.size()) +
+                report->Get("server").GetInt("partials_coalesced", -1));
 
   ASSERT_TRUE((*client)->CloseSession(*session).ok());
   fixture.Stop();

@@ -2,12 +2,13 @@
 /// Unit tests of the session serving API (session/session.h): push
 /// delivery, deadline-exact cancellation, round-robin fairness under a
 /// contention penalty, idempotent client cancellation, multi-session
-/// bookkeeping and scheduler telemetry.
+/// bookkeeping, scheduler telemetry and sink-declined partials.
 
 #include "session/session.h"
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,6 +18,7 @@
 #include "engines/progressive_engine.h"
 #include "engines/registry.h"
 #include "tests/test_util.h"
+#include "tests/workflow_harness.h"
 #include "workflow/interaction.h"
 
 namespace idebench::session {
@@ -583,6 +585,145 @@ TEST(SessionTest, BudgetScaleShrinksEntitlementDeadlineUnchanged) {
       (*sess)
           ->SubmitInteraction(Interaction::CreateViz(MakeGroupViz("v0")), 1.5)
           .ok());
+}
+
+/// Forwards to `inner` and counts PollResult calls.
+class PollCountingEngine : public engines::Engine {
+ public:
+  explicit PollCountingEngine(engines::Engine* inner) : inner_(inner) {}
+
+  const std::string& name() const override { return inner_->name(); }
+  Result<Micros> Prepare(
+      std::shared_ptr<const storage::Catalog> catalog) override {
+    return inner_->Prepare(std::move(catalog));
+  }
+  Result<engines::QueryHandle> Submit(const query::QuerySpec& spec) override {
+    return inner_->Submit(spec);
+  }
+  Micros RunFor(engines::QueryHandle handle, Micros budget) override {
+    return inner_->RunFor(handle, budget);
+  }
+  bool IsDone(engines::QueryHandle handle) const override {
+    return inner_->IsDone(handle);
+  }
+  Result<query::QueryResult> PollResult(engines::QueryHandle handle) override {
+    ++polls;
+    return inner_->PollResult(handle);
+  }
+  void Cancel(engines::QueryHandle handle) override { inner_->Cancel(handle); }
+  void LinkVizs(const std::string& from, const std::string& to) override {
+    inner_->LinkVizs(from, to);
+  }
+  void DiscardViz(const std::string& viz) override { inner_->DiscardViz(viz); }
+  void OnThink(Micros duration) override { inner_->OnThink(duration); }
+  void WorkflowStart() override { inner_->WorkflowStart(); }
+  void WorkflowEnd() override { inner_->WorkflowEnd(); }
+
+  int64_t polls = 0;
+
+ private:
+  engines::Engine* inner_;
+};
+
+/// Records every update and declines every partial.
+class DecliningSink : public RecordingSink {
+ public:
+  bool WantsPartial(int64_t query_id, Micros virtual_time) override {
+    (void)query_id;
+    (void)virtual_time;
+    ++asked;
+    return false;
+  }
+
+  int64_t asked = 0;
+};
+
+struct DeclineRun {
+  std::vector<ProgressiveUpdate> finals;  // both sessions, in push order
+  int64_t polls = 0;
+  SchedulerStats stats;
+};
+
+/// Two sessions, three distinct progressive queries (no semantic reuse
+/// between them) admitted together under a contention penalty: the
+/// first completes, the other two run to their deadline.  Both sessions
+/// use `sink`.
+DeclineRun RunThreeQueries(RecordingSink* sink) {
+  query::VizSpec by_flag = MakeGroupViz("v1");
+  by_flag.bins[0].column = "flag";
+  query::VizSpec avg_by_group = MakeGroupViz("v0");
+  avg_by_group.aggregates[0].type = query::AggregateType::kAvg;
+  avg_by_group.aggregates[0].column = "value";
+
+  ProgressiveEngineConfig config;
+  config.query_overhead_us = 0;
+  config.restart_overhead_us = 0;
+  config.sample_us_per_row = 100'000.0;  // 8 rows = 0.8 s
+  ProgressiveEngine progressive(config);
+  PollCountingEngine engine(&progressive);
+  auto catalog = Catalog(1'000'000);
+  IDB_CHECK(engine.Prepare(catalog).ok());
+
+  SessionManagerOptions options;
+  options.time_requirement = 1'000'000;
+  options.contention_penalty = 1.0;  // budgets 1, 1/2 and 1/3 of the TR
+  options.quantum = 100'000;
+  SessionManager manager(options, &engine, catalog);
+  auto first = manager.CreateSession(sink);
+  auto second = manager.CreateSession(sink);
+  IDB_CHECK(first.ok() && second.ok());
+  IDB_CHECK((*first)
+                ->SubmitInteraction(Interaction::CreateViz(MakeGroupViz("v0")))
+                .ok());
+  IDB_CHECK(
+      (*first)->SubmitInteraction(Interaction::CreateViz(by_flag)).ok());
+  IDB_CHECK(
+      (*second)->SubmitInteraction(Interaction::CreateViz(avg_by_group)).ok());
+  IDB_CHECK(manager.RunUntilIdle().ok());
+
+  DeclineRun run;
+  run.finals = sink->finals();
+  run.polls = engine.polls;
+  run.stats = manager.stats();
+  return run;
+}
+
+TEST(SessionTest, DecliningSinkSkipsEnginePoll) {
+  RecordingSink accepting;
+  const DeclineRun want = RunThreeQueries(&accepting);
+  DecliningSink declining;
+  const DeclineRun got = RunThreeQueries(&declining);
+
+  // The accepting run polls for its partials; the declining one polls
+  // once per final and never pushes a partial.
+  ASSERT_EQ(want.finals.size(), 3u);
+  EXPECT_GT(want.stats.partial_updates, 0);
+  EXPECT_EQ(want.stats.partials_declined, 0);
+  EXPECT_GT(want.polls, static_cast<int64_t>(want.finals.size()));
+  EXPECT_EQ(got.polls, static_cast<int64_t>(got.finals.size()));
+  EXPECT_EQ(got.stats.partial_updates, 0);
+  EXPECT_GT(got.stats.partials_declined, 0);
+  EXPECT_EQ(got.stats.partials_declined, declining.asked);
+  EXPECT_EQ(declining.updates.size(), got.finals.size());
+
+  // Declining changes what is computed, never the answers.
+  EXPECT_EQ(want.stats.completed, 1);
+  EXPECT_EQ(want.stats.deadline_cancelled, 2);
+  ASSERT_EQ(got.finals.size(), want.finals.size());
+  for (size_t i = 0; i < want.finals.size(); ++i) {
+    const ProgressiveUpdate& a = want.finals[i];
+    const ProgressiveUpdate& b = got.finals[i];
+    const std::string label = "final " + std::to_string(i);
+    EXPECT_EQ(a.session_id, b.session_id) << label;
+    EXPECT_EQ(a.query_id, b.query_id) << label;
+    EXPECT_EQ(a.virtual_time, b.virtual_time) << label;
+    EXPECT_EQ(a.consumed, b.consumed) << label;
+    EXPECT_EQ(a.budget, b.budget) << label;
+    EXPECT_EQ(a.completed, b.completed) << label;
+    EXPECT_EQ(a.cancelled, b.cancelled) << label;
+    EXPECT_EQ(a.progress, b.progress) << label;
+    testharness::ExpectResultsBitIdentical(a.result, b.result, label);
+  }
 }
 
 }  // namespace

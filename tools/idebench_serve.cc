@@ -416,6 +416,7 @@ int main(int argc, char** argv) {
             << " updates_out=" << stats.updates_sent
             << " coalesced=" << stats.partials_coalesced
             << " dropped=" << stats.partials_dropped
+            << " declined=" << (*server)->manager().stats().partials_declined
             << " slow_disconnects=" << stats.slow_client_disconnects
             << " admitted=" << rk.admitted << " degraded=" << rk.degraded
             << " throttled=" << rk.throttled << " rejected=" << rk.rejected
