@@ -34,19 +34,14 @@ Result<Micros> BlockingEngine::Prepare(
 Result<QueryHandle> BlockingEngine::Submit(const query::QuerySpec& spec) {
   if (!attached()) return Status::Invalid("engine not prepared");
   auto rq = std::make_unique<RunningQuery>();
-  rq->spec = spec;
-
   int joins_built = 0;
-  IDB_ASSIGN_OR_RETURN(exec::BoundQuery bound,
-                       BindQuery(rq->spec, /*lazy=*/false, &joins_built));
-  rq->bound = std::make_unique<exec::BoundQuery>(std::move(bound));
-  rq->aggregator = std::make_unique<exec::BinnedAggregator>(
-      rq->bound.get(), MakeAggregatorOptions());
-  rq->reuse = AcquireReuse(rq->spec);
+  IDB_ASSIGN_OR_RETURN(rq->query,
+                       NewQueryState(spec, /*lazy=*/false, &joins_built));
+  rq->reuse = AcquireReuse(spec);
 
-  IDB_ASSIGN_OR_RETURN(std::vector<std::string> dims, RequiredJoins(rq->spec));
+  IDB_ASSIGN_OR_RETURN(std::vector<std::string> dims, RequiredJoins(spec));
   const double mult = ComplexityMultiplier(
-      rq->spec, static_cast<int>(dims.size()), config_.factors);
+      spec, static_cast<int>(dims.size()), config_.factors);
   // Virtual cost per *actual* row so that scanning all actual rows costs
   // scan_ns * nominal rows.
   double scan_ns = config_.scan_ns_per_row;
@@ -101,13 +96,20 @@ Micros BlockingEngine::RunFor(QueryHandle handle, Micros budget) {
     // remainder runs through the physical pipeline as usual (fused
     // kernels + zone-map block skipping — this is the full-scan path the
     // zone maps exist for; the *virtual* cost model still charges every
-    // row, only wall-clock work shrinks).
+    // row, only wall-clock work shrinks).  Nothing is fetchable before
+    // the scan is done, so the first slice adopts an equal snapshot
+    // whole however far past the slice it reaches, and later slices
+    // scan physically only beyond it; the cursor stays virtual.
+    exec::BinnedAggregator* agg = rq.query.aggregator.get();
+    if (rq.cursor == 0) AdoptReuse(rq.reuse, agg, rq.pinned_rows);
     const int64_t end = rq.cursor + todo;
-    const int64_t served_to =
-        ServeReuse(rq.reuse, rq.aggregator.get(), rq.cursor, end);
-    if (served_to < end) {
-      exec::ProcessRangeParallel(rq.aggregator.get(), served_to, end,
-                                 config_.execution_threads);
+    const int64_t begin = std::max(rq.cursor, agg->rows_seen());
+    if (begin < end) {
+      const int64_t served_to = ServeReuse(rq.reuse, agg, begin, end);
+      if (served_to < end) {
+        exec::ProcessRangeParallel(agg, served_to, end,
+                                   config_.execution_threads);
+      }
     }
     rq.cursor += todo;
     const double spent = static_cast<double>(todo) * rq.row_cost_us;
@@ -148,7 +150,7 @@ Result<query::QueryResult> BlockingEngine::PollResult(QueryHandle handle) {
                            : 0.0;
     return pending;
   }
-  query::QueryResult result = rq.aggregator->ExactResult();
+  query::QueryResult result = rq.query.aggregator->ExactResult();
   result.available = true;
   return result;
 }
@@ -156,7 +158,7 @@ Result<query::QueryResult> BlockingEngine::PollResult(QueryHandle handle) {
 void BlockingEngine::Cancel(QueryHandle handle) {
   auto it = queries_.find(handle);
   if (it != queries_.end()) {
-    StoreReuse(it->second->spec, *it->second->aggregator, /*lazy_joins=*/false);
+    StoreReuse(std::move(it->second->query));
     queries_.erase(it);
   }
 }

@@ -74,9 +74,7 @@ class BlockingEngine : public EngineBase {
 
  private:
   struct RunningQuery {
-    query::QuerySpec spec;
-    std::unique_ptr<exec::BoundQuery> bound;
-    std::unique_ptr<exec::BinnedAggregator> aggregator;
+    exec::QueryState query;         // handed to the reuse cache at Cancel
     exec::ReuseCache::Match reuse;  // cached prefix to serve scans from
     int64_t cursor = 0;            // next actual fact row
     int64_t pinned_rows = 0;       // visible watermark pinned at Submit

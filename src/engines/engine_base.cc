@@ -177,16 +177,32 @@ metrics::ReuseCacheStats EngineBase::reuse_cache_stats() const {
                                  : metrics::ReuseCacheStats{};
 }
 
-exec::BinnedAggregatorOptions EngineBase::MakeAggregatorOptions() const {
+Result<exec::QueryState> EngineBase::NewQueryState(
+    const query::QuerySpec& spec, bool lazy, int* joins_built_now) {
+  exec::QueryState state;
+  state.spec = std::make_unique<query::QuerySpec>(spec);
+  IDB_ASSIGN_OR_RETURN(exec::BoundQuery bound,
+                       BindQuery(*state.spec, lazy, joins_built_now));
+  state.bound = std::make_unique<exec::BoundQuery>(std::move(bound));
   exec::BinnedAggregatorOptions options;
   options.record_matches = reuse_cache_enabled();
-  return options;
+  state.aggregator =
+      std::make_unique<exec::BinnedAggregator>(state.bound.get(), options);
+  return state;
 }
 
 exec::ReuseCache::Match EngineBase::AcquireReuse(
     const query::QuerySpec& spec) {
   if (reuse_cache_ == nullptr) return {};
   return reuse_cache_->Lookup(spec);
+}
+
+int64_t EngineBase::AdoptReuse(const exec::ReuseCache::Match& match,
+                               exec::BinnedAggregator* agg, int64_t limit) {
+  if (reuse_cache_ == nullptr) return 0;
+  const int64_t adopted = exec::ReuseCache::Adopt(match, agg, limit);
+  reuse_cache_->AddRowsServed(adopted);
+  return adopted;
 }
 
 int64_t EngineBase::ServeReuse(const exec::ReuseCache::Match& match,
@@ -198,13 +214,8 @@ int64_t EngineBase::ServeReuse(const exec::ReuseCache::Match& match,
   return served_to;
 }
 
-void EngineBase::StoreReuse(const query::QuerySpec& spec,
-                            const exec::BinnedAggregator& agg,
-                            bool lazy_joins) {
-  if (reuse_cache_ == nullptr) return;
-  reuse_cache_->Store(spec, agg, [this, lazy_joins](const query::QuerySpec& s) {
-    return BindQuery(s, lazy_joins);
-  });
+void EngineBase::StoreReuse(exec::QueryState state) {
+  if (reuse_cache_ != nullptr) reuse_cache_->Store(std::move(state));
 }
 
 namespace {

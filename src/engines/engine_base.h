@@ -119,13 +119,13 @@ class EngineBase : public Engine {
   // --- Cross-interaction reuse (exec/reuse_cache.h) --------------------
   //
   // Engines opt in from Prepare via `EnableReuseCache`; every query then
-  // (1) builds its aggregator with `MakeAggregatorOptions` so candidates
-  // are recorded, (2) acquires a match at Submit, (3) routes each feed
-  // advance through `ServeReuse` before processing the remainder
-  // physically, and (4) stores its snapshot from Cancel.  All helpers are
-  // no-ops when the cache is disabled, keeping engine behavior (and
-  // results — see the transparency contract in reuse_cache.h) identical
-  // either way.
+  // (1) builds its state with `NewQueryState` so candidates are recorded,
+  // (2) acquires a match at Submit, (3) routes each feed advance through
+  // `ServeReuse` (the blocking engine first through `AdoptReuse`) before
+  // processing the remainder physically, and (4) hands its state to the
+  // cache from Cancel.  All helpers are no-ops when the cache is
+  // disabled, keeping engine behavior (and results — see the
+  // transparency contract in reuse_cache.h) identical either way.
 
   /// Turns the cache on sized for `expected_sessions` concurrent
   /// dashboards (session/session.h): the global entry cap scales with
@@ -137,22 +137,30 @@ class EngineBase : public Engine {
 
   bool reuse_cache_enabled() const { return reuse_cache_ != nullptr; }
 
-  /// Aggregator options for live queries: default execution knobs, with
-  /// match recording on when the cache is enabled.
-  exec::BinnedAggregatorOptions MakeAggregatorOptions() const;
+  /// A live query's state: a copy of `spec`, its binding (materialized
+  /// or lazy joins, see `BindQuery`) and an aggregator with default
+  /// execution knobs that records matches when the cache is enabled.
+  Result<exec::QueryState> NewQueryState(const query::QuerySpec& spec,
+                                         bool lazy,
+                                         int* joins_built_now = nullptr);
 
   /// Best cached entry for `spec` (empty when disabled or no match).
   exec::ReuseCache::Match AcquireReuse(const query::QuerySpec& spec);
+
+  /// Adopts `match`'s whole snapshot into the empty `agg` when it is an
+  /// equal hit no deeper than `limit`; returns the positions adopted (0
+  /// when none).  Only for engines that expose nothing before `done`.
+  int64_t AdoptReuse(const exec::ReuseCache::Match& match,
+                     exec::BinnedAggregator* agg, int64_t limit);
 
   /// Serves feed positions [begin, end) into `agg` from `match`; returns
   /// the position up to which the cache served (begin when nothing was).
   int64_t ServeReuse(const exec::ReuseCache::Match& match,
                      exec::BinnedAggregator* agg, int64_t begin, int64_t end);
 
-  /// Snapshots `agg` under `spec`'s signature (no-op when disabled);
-  /// `lazy_joins` selects the join strategy for the entry's binding.
-  void StoreReuse(const query::QuerySpec& spec,
-                  const exec::BinnedAggregator& agg, bool lazy_joins);
+  /// Hands a finished query's state to the cache (dropped when the cache
+  /// is disabled or does not keep it).
+  void StoreReuse(exec::QueryState state);
 
   /// Deterministic start offset into the shuffled walk for `spec`:
   /// stable-hashed from the engine seed and the spec's *core* signature,

@@ -37,7 +37,6 @@ Result<Micros> OnlineEngine::Prepare(
 Result<QueryHandle> OnlineEngine::Submit(const query::QuerySpec& spec) {
   if (!attached()) return Status::Invalid("engine not prepared");
   auto rq = std::make_unique<RunningQuery>();
-  rq->spec = spec;
   rq->online = SupportsOnline(spec);
   if (!rq->online && !config_.enable_fallback) {
     return Status::NotImplemented(
@@ -46,16 +45,12 @@ Result<QueryHandle> OnlineEngine::Submit(const query::QuerySpec& spec) {
 
   int joins_built = 0;
   IDB_ASSIGN_OR_RETURN(
-      exec::BoundQuery bound,
-      BindQuery(rq->spec, /*lazy=*/rq->online, &joins_built));
-  rq->bound = std::make_unique<exec::BoundQuery>(std::move(bound));
-  rq->aggregator = std::make_unique<exec::BinnedAggregator>(
-      rq->bound.get(), MakeAggregatorOptions());
-  rq->reuse = AcquireReuse(rq->spec);
+      rq->query, NewQueryState(spec, /*lazy=*/rq->online, &joins_built));
+  rq->reuse = AcquireReuse(spec);
 
-  IDB_ASSIGN_OR_RETURN(std::vector<std::string> dims, RequiredJoins(rq->spec));
+  IDB_ASSIGN_OR_RETURN(std::vector<std::string> dims, RequiredJoins(spec));
   const double mult = ComplexityMultiplier(
-      rq->spec, static_cast<int>(dims.size()), config_.factors);
+      spec, static_cast<int>(dims.size()), config_.factors);
   if (rq->online) {
     // Wander-join-style sampling: each sampled tuple costs sample_us
     // (times complexity), independent of data scale — absolute sample
@@ -63,7 +58,7 @@ Result<QueryHandle> OnlineEngine::Submit(const query::QuerySpec& spec) {
     // stable function of the query's core signature, so equal or refined
     // queries re-walk the same rows — the precondition for reuse.
     rq->row_cost_us = config_.sample_us_per_row * mult;
-    rq->walk_offset = WalkOffsetFor(rq->spec);
+    rq->walk_offset = WalkOffsetFor(spec);
   } else {
     // Blocking fallback at row-store scan speed over the nominal data;
     // the normalized fact table's narrower rows scan faster.
@@ -88,9 +83,10 @@ Result<QueryHandle> OnlineEngine::Submit(const query::QuerySpec& spec) {
 }
 
 void OnlineEngine::PublishSnapshot(RunningQuery* rq) {
+  const exec::BinnedAggregator& agg = *rq->query.aggregator;
   query::QueryResult snapshot =
-      rq->aggregator->EstimateFromUniformSample(rq->pinned_rows, z_score());
-  snapshot.available = rq->aggregator->rows_seen() > 0;
+      agg.EstimateFromUniformSample(rq->pinned_rows, z_score());
+  snapshot.available = agg.rows_seen() > 0;
   rq->snapshot = std::move(snapshot);
   rq->last_report_us = rq->work_done_us;
 }
@@ -124,17 +120,17 @@ Micros OnlineEngine::RunFor(QueryHandle handle, Micros budget) {
     // Positions covered by a cached snapshot (walk and scan positions
     // alike — the mode is a function of the core signature) are served
     // from it; the remainder runs through the physical pipeline.
+    exec::BinnedAggregator* agg = rq.query.aggregator.get();
     const int64_t end = rq.cursor + todo;
-    const int64_t served_to =
-        ServeReuse(rq.reuse, rq.aggregator.get(), rq.cursor, end);
+    const int64_t served_to = ServeReuse(rq.reuse, agg, rq.cursor, end);
     if (served_to < end) {
       if (rq.online) {
         // Batched shuffled-walk sampling through the vectorized pipeline.
-        exec::ProcessWalkParallel(rq.aggregator.get(), ShuffledRows(),
-                                  rq.walk_offset, served_to, end - served_to,
+        exec::ProcessWalkParallel(agg, ShuffledRows(), rq.walk_offset,
+                                  served_to, end - served_to,
                                   config_.execution_threads);
       } else {
-        exec::ProcessRangeParallel(rq.aggregator.get(), served_to, end,
+        exec::ProcessRangeParallel(agg, served_to, end,
                                    config_.execution_threads);
       }
     }
@@ -173,7 +169,7 @@ Result<query::QueryResult> OnlineEngine::PollResult(QueryHandle handle) {
     return Status::IOError("injected run fault (engine '" + name() + "')");
   }
   if (rq.done) {
-    query::QueryResult result = rq.aggregator->ExactResult();
+    query::QueryResult result = rq.query.aggregator->ExactResult();
     result.available = true;
     return result;
   }
@@ -188,8 +184,7 @@ Result<query::QueryResult> OnlineEngine::PollResult(QueryHandle handle) {
 void OnlineEngine::Cancel(QueryHandle handle) {
   auto it = queries_.find(handle);
   if (it != queries_.end()) {
-    StoreReuse(it->second->spec, *it->second->aggregator,
-               /*lazy_joins=*/it->second->online);
+    StoreReuse(std::move(it->second->query));
     queries_.erase(it);
   }
 }

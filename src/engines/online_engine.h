@@ -74,9 +74,7 @@ class OnlineEngine : public EngineBase {
 
  private:
   struct RunningQuery {
-    query::QuerySpec spec;
-    std::unique_ptr<exec::BoundQuery> bound;
-    std::unique_ptr<exec::BinnedAggregator> aggregator;
+    exec::QueryState query;         // handed to the reuse cache at Cancel
     exec::ReuseCache::Match reuse;  // cached prefix (walk or scan)
     bool online = false;
     int64_t cursor = 0;             // position in the shuffled walk / scan

@@ -27,13 +27,8 @@ Result<Micros> ProgressiveEngine::Prepare(
 Result<std::shared_ptr<ProgressiveEngine::SampleState>>
 ProgressiveEngine::MakeState(const query::QuerySpec& spec) {
   auto state = std::make_shared<SampleState>();
-  state->spec = spec;
-  IDB_ASSIGN_OR_RETURN(exec::BoundQuery bound,
-                       BindQuery(state->spec, /*lazy=*/true));
-  state->bound = std::make_unique<exec::BoundQuery>(std::move(bound));
-  state->aggregator = std::make_unique<exec::BinnedAggregator>(
-      state->bound.get(), MakeAggregatorOptions());
-  state->reuse = AcquireReuse(state->spec);
+  IDB_ASSIGN_OR_RETURN(state->query, NewQueryState(spec, /*lazy=*/true));
+  state->reuse = AcquireReuse(spec);
   IDB_ASSIGN_OR_RETURN(std::vector<std::string> dims, RequiredJoins(spec));
   const double mult = ComplexityMultiplier(
       spec, static_cast<int>(dims.size()), config_.factors);
@@ -114,12 +109,12 @@ Micros ProgressiveEngine::AdvanceState(SampleState* state, Micros budget) {
   // Walk positions covered by a cached snapshot are served from it; the
   // remainder runs batched shuffled-walk sampling through the vectorized
   // pipeline, morsel-parallel when worker threads are configured.
+  exec::BinnedAggregator* agg = state->query.aggregator.get();
   const int64_t end = state->cursor + todo;
-  const int64_t served_to =
-      ServeReuse(state->reuse, state->aggregator.get(), state->cursor, end);
+  const int64_t served_to = ServeReuse(state->reuse, agg, state->cursor, end);
   if (served_to < end) {
-    exec::ProcessWalkParallel(state->aggregator.get(), ShuffledRows(),
-                              state->walk_offset, served_to, end - served_to,
+    exec::ProcessWalkParallel(agg, ShuffledRows(), state->walk_offset,
+                              served_to, end - served_to,
                               config_.execution_threads);
   }
   state->cursor += todo;
@@ -166,10 +161,11 @@ Result<query::QueryResult> ProgressiveEngine::PollResult(QueryHandle handle) {
   if (rq.faulted) {
     return Status::IOError("injected run fault (engine '" + name() + "')");
   }
-  query::QueryResult result = rq.state->aggregator->EstimateFromUniformSample(
-      rq.state->pinned_rows, z_score());
+  const exec::BinnedAggregator& agg = *rq.state->query.aggregator;
+  query::QueryResult result =
+      agg.EstimateFromUniformSample(rq.state->pinned_rows, z_score());
   // Fully progressive: anything sampled so far is fetchable immediately.
-  result.available = rq.state->aggregator->rows_seen() > 0;
+  result.available = agg.rows_seen() > 0;
   return result;
 }
 
@@ -179,10 +175,28 @@ void ProgressiveEngine::Cancel(QueryHandle handle) {
   // later equal/refined queries can skip the physical recomputation.
   auto it = queries_.find(handle);
   if (it != queries_.end()) {
-    const SampleState& state = *it->second->state;
-    StoreReuse(state.spec, *state.aggregator, /*lazy_joins=*/true);
+    StoreState(std::move(it->second->state));
     queries_.erase(it);
   }
+}
+
+void ProgressiveEngine::StoreState(std::shared_ptr<SampleState> state) {
+  if (!reuse_cache_enabled()) return;
+  if (state.use_count() == 1) {
+    StoreReuse(std::move(state->query));
+    return;
+  }
+  // The semantic cache (or another live handle) resumes this state
+  // later, so it cannot be handed over: store a fork instead.  Freezing
+  // first lets the fork share every candidate segment; only the spec,
+  // binding and bin tables are copied.
+  exec::BinnedAggregator& live = *state->query.aggregator;
+  if (live.rows_seen() <= 0) return;
+  auto fork = NewQueryState(*state->query.spec, /*lazy=*/true);
+  if (!fork.ok()) return;
+  live.Freeze();
+  fork->aggregator->MergeFrom(live);
+  StoreReuse(std::move(fork).MoveValueUnsafe());
 }
 
 void ProgressiveEngine::LinkVizs(const std::string& from,
@@ -237,7 +251,7 @@ void ProgressiveEngine::RefreshSpeculations() {
       auto cached = cache_.find(QuerySignature(source));
       if (cached != cache_.end()) {
         const query::QueryResult sample =
-            cached->second->aggregator->EstimateFromUniformSample(
+            cached->second->query.aggregator->EstimateFromUniformSample(
                 cached->second->pinned_rows, z_score());
         for (const auto& [key, bin] : sample.bins) {
           if (!bin.values.empty()) {

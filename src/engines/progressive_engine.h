@@ -93,9 +93,7 @@ class ProgressiveEngine : public EngineBase {
   /// Shared sample state for one canonical query (live, cached or
   /// speculative).
   struct SampleState {
-    query::QuerySpec spec;
-    std::unique_ptr<exec::BoundQuery> bound;
-    std::unique_ptr<exec::BinnedAggregator> aggregator;
+    exec::QueryState query;
     exec::ReuseCache::Match reuse;  // cached walk prefix to serve from
     int64_t cursor = 0;       // progress along the shuffled walk
     int64_t walk_offset = 0;  // signature-stable start into the permutation
@@ -122,6 +120,11 @@ class ProgressiveEngine : public EngineBase {
 
   /// Advances `state` by up to `budget`; returns consumed micros.
   Micros AdvanceState(SampleState* state, Micros budget);
+
+  /// Stores `state`'s progress in the cross-interaction reuse cache:
+  /// hands the state over when no one can resume it, otherwise stores
+  /// a fork that shares its candidate segments.
+  void StoreState(std::shared_ptr<SampleState> state);
 
   /// (Re)builds the speculative candidate list for one link.
   void RefreshSpeculations();

@@ -93,15 +93,10 @@ Result<QueryHandle> StratifiedEngine::Submit(const query::QuerySpec& spec) {
   ExtendSampleForPublishedEpochs();
 
   auto rq = std::make_unique<RunningQuery>();
-  rq->spec = spec;
-  IDB_ASSIGN_OR_RETURN(exec::BoundQuery bound,
-                       BindQuery(rq->spec, /*lazy=*/true));
-  rq->bound = std::make_unique<exec::BoundQuery>(std::move(bound));
-  rq->aggregator = std::make_unique<exec::BinnedAggregator>(
-      rq->bound.get(), MakeAggregatorOptions());
-  rq->reuse = AcquireReuse(rq->spec);
+  IDB_ASSIGN_OR_RETURN(rq->query, NewQueryState(spec, /*lazy=*/true));
+  rq->reuse = AcquireReuse(spec);
 
-  const double mult = ComplexityMultiplier(rq->spec, 0, config_.factors);
+  const double mult = ComplexityMultiplier(spec, 0, config_.factors);
   // Scanning the whole sample costs rate * nominal * ns; spread evenly
   // over the actual sample rows.
   const double total_us = static_cast<double>(nominal_rows()) *
@@ -148,9 +143,9 @@ Micros StratifiedEngine::RunFor(QueryHandle handle, Micros budget) {
     // stratum by stratum, so per-row weights of the remainder form runs
     // of equal values; feed each run as one weighted batch through the
     // vectorized pipeline.
+    exec::BinnedAggregator* agg = rq.query.aggregator.get();
     const int64_t end = rq.cursor + todo;
-    const int64_t served_to =
-        ServeReuse(rq.reuse, rq.aggregator.get(), rq.cursor, end);
+    const int64_t served_to = ServeReuse(rq.reuse, agg, rq.cursor, end);
     for (int64_t i = served_to; i < end;) {
       const size_t pos = static_cast<size_t>(i);
       const double w = sample_.weights[pos];
@@ -158,8 +153,8 @@ Micros StratifiedEngine::RunFor(QueryHandle handle, Micros budget) {
       while (j < end && sample_.weights[static_cast<size_t>(j)] == w) {
         ++j;
       }
-      exec::ProcessBatchParallel(rq.aggregator.get(), &sample_.rows[pos],
-                                 j - i, w, config_.execution_threads);
+      exec::ProcessBatchParallel(agg, &sample_.rows[pos], j - i, w,
+                                 config_.execution_threads);
       i = j;
     }
     rq.cursor += todo;
@@ -196,7 +191,7 @@ Result<query::QueryResult> StratifiedEngine::PollResult(QueryHandle handle) {
     return pending;
   }
   query::QueryResult result =
-      rq.aggregator->EstimateFromWeightedSample(z_score());
+      rq.query.aggregator->EstimateFromWeightedSample(z_score());
   result.available = true;
   // Progress in nominal terms: the whole sample covers `sampling_rate` of
   // the data.
@@ -207,7 +202,7 @@ Result<query::QueryResult> StratifiedEngine::PollResult(QueryHandle handle) {
 void StratifiedEngine::Cancel(QueryHandle handle) {
   auto it = queries_.find(handle);
   if (it != queries_.end()) {
-    StoreReuse(it->second->spec, *it->second->aggregator, /*lazy_joins=*/true);
+    StoreReuse(std::move(it->second->query));
     queries_.erase(it);
   }
 }

@@ -74,9 +74,7 @@ class StratifiedEngine : public EngineBase {
 
  private:
   struct RunningQuery {
-    query::QuerySpec spec;
-    std::unique_ptr<exec::BoundQuery> bound;
-    std::unique_ptr<exec::BinnedAggregator> aggregator;
+    exec::QueryState query;         // handed to the reuse cache at Cancel
     exec::ReuseCache::Match reuse;  // cached sample-scan prefix
     int64_t cursor = 0;  // position within the sample
     /// Sample size pinned at Submit: under streaming ingest the sample

@@ -12,6 +12,61 @@ using query::AggregateType;
 using query::BinResult;
 using query::QueryResult;
 
+void MatchList::AppendFrom(const MatchList& other, int64_t shift) {
+  if (shift == 0 && empty()) {
+    frozen_ = other.frozen_;
+    frozen_rows_ = other.frozen_rows_;
+    open_.insert(open_.end(), other.open_.begin(), other.open_.end());
+    return;
+  }
+  if (open_.size() + static_cast<size_t>(other.size()) > kSegmentRows) {
+    Freeze();
+  }
+  open_.reserve(open_.size() + static_cast<size_t>(other.size()));
+  other.ForEachRun(std::numeric_limits<int64_t>::min(),
+                   std::numeric_limits<int64_t>::max(),
+                   [&](const MatchedRow* first, const MatchedRow* last) {
+                     for (const MatchedRow* m = first; m != last; ++m) {
+                       open_.push_back({m->pos + shift, m->row, m->weight});
+                     }
+                   });
+}
+
+void MatchList::Freeze() {
+  if (open_.empty()) return;
+  frozen_rows_ += static_cast<int64_t>(open_.size());
+  frozen_.push_back(std::make_shared<const Segment>(std::move(open_)));
+  open_ = {};
+}
+
+void MatchList::Clear() {
+  frozen_.clear();
+  frozen_rows_ = 0;
+  open_.clear();
+}
+
+void MatchList::Release() {
+  Clear();
+  open_ = {};
+}
+
+std::vector<MatchedRow> MatchList::ToVector() const {
+  std::vector<MatchedRow> out;
+  out.reserve(static_cast<size_t>(size()));
+  ForEachRun(std::numeric_limits<int64_t>::min(),
+             std::numeric_limits<int64_t>::max(),
+             [&](const MatchedRow* first, const MatchedRow* last) {
+               out.insert(out.end(), first, last);
+             });
+  return out;
+}
+
+int64_t MatchList::CapacityBytes() const {
+  size_t rows = open_.capacity();
+  for (const auto& seg : frozen_) rows += seg->capacity();
+  return static_cast<int64_t>(rows * sizeof(MatchedRow));
+}
+
 BinnedAggregator::BinnedAggregator(const BoundQuery* query,
                                    BinnedAggregatorOptions options)
     : query_(query), options_(options) {
@@ -109,18 +164,15 @@ void BinnedAggregator::MergeFrom(const BinnedAggregator& other) {
     if (!other_replayable) {
       if (other.rows_matched_ > 0) {
         matches_overflowed_ = true;
-        matches_ = {};
+        matches_.Release();
       }
     } else if (!other.matches_.empty() &&
-               RecorderAccepts(static_cast<int64_t>(other.matches_.size()))) {
+               RecorderAccepts(other.matches_.size())) {
       // Shift the other side's feed positions past ours: partials fold
       // in morsel order, so positions stay the walk positions of the
       // whole feed; snapshots adopt into empty aggregators with a zero
-      // shift.
-      matches_.reserve(matches_.size() + other.matches_.size());
-      for (const MatchedRow& m : other.matches_) {
-        matches_.push_back({m.pos + rows_seen_, m.row, m.weight});
-      }
+      // shift, sharing the snapshot's frozen segments.
+      matches_.AppendFrom(other.matches_, rows_seen_);
     }
   }
   rows_seen_ += other.rows_seen_;
@@ -152,6 +204,11 @@ void BinnedAggregator::MergeFrom(const BinnedAggregator& other) {
     AggAccum* into = AccumsForPublicKey(key);
     for (size_t a = 0; a < naggs; ++a) MergeAccum(&into[a], from[a]);
   });
+}
+
+void BinnedAggregator::Freeze() {
+  matches_.Freeze();
+  partial_pool_.clear();
 }
 
 void BinnedAggregator::EnsureDenseAllocated() {
@@ -186,7 +243,7 @@ void BinnedAggregator::ProcessRowAt(int64_t row, double weight, int64_t pos) {
   const int64_t key = query_->BinKey(row);
   if (key < 0) return;
   ++rows_matched_;
-  if (RecorderAccepts(1)) matches_.push_back({pos, row, weight});
+  if (RecorderAccepts(1)) matches_.Append({pos, row, weight});
 
   AggAccum* accums = AccumsForPublicKey(key);
   const size_t naggs = query_->spec().aggregates.size();
@@ -225,9 +282,7 @@ void BinnedAggregator::ProcessBatch(const int64_t* rows, int64_t n,
     if (RecorderAccepts(m)) {
       // Bulk-append with one resize: per-element push_back capacity
       // checks cost more than the whole recording otherwise.
-      const size_t old_size = matches_.size();
-      matches_.resize(old_size + static_cast<size_t>(m));
-      MatchedRow* out = matches_.data() + old_size;
+      MatchedRow* out = matches_.Extend(static_cast<size_t>(m));
       if (replay_positions_ != nullptr) {
         for (int64_t i = 0; i < m; ++i) {
           const int64_t idx = batch.sel[i];
@@ -358,13 +413,10 @@ void BinnedAggregator::ProcessWalk(const aqp::ShuffledIndex& order,
   }
 }
 
-void BinnedAggregator::ReplayMatches(const std::vector<MatchedRow>& matches,
+void BinnedAggregator::ReplayMatches(const MatchList& matches,
                                      int64_t pos_begin, int64_t pos_end) {
   const int64_t span = pos_end - pos_begin;
   if (span <= 0) return;
-  auto it = std::lower_bound(
-      matches.begin(), matches.end(), pos_begin,
-      [](const MatchedRow& m, int64_t p) { return m.pos < p; });
 
   // Feed the recorded rows in batches sharing one weight, carrying their
   // original positions for the recorder; gaps (rows that did not match
@@ -385,13 +437,17 @@ void BinnedAggregator::ReplayMatches(const std::vector<MatchedRow>& matches,
     fed += n;
     n = 0;
   };
-  for (; it != matches.end() && it->pos < pos_end; ++it) {
-    if (n == kVectorBatchSize || (n > 0 && it->weight != w)) flush();
-    if (n == 0) w = it->weight;
-    rows[static_cast<size_t>(n)] = it->row;
-    positions[static_cast<size_t>(n)] = it->pos;
-    ++n;
-  }
+  // Batches run across segment boundaries: the chain is one list.
+  matches.ForEachRun(
+      pos_begin, pos_end, [&](const MatchedRow* first, const MatchedRow* last) {
+        for (const MatchedRow* it = first; it != last; ++it) {
+          if (n == kVectorBatchSize || (n > 0 && it->weight != w)) flush();
+          if (n == 0) w = it->weight;
+          rows[static_cast<size_t>(n)] = it->row;
+          positions[static_cast<size_t>(n)] = it->pos;
+          ++n;
+        }
+      });
   flush();
   SkipRows(span - fed);
 }
@@ -400,7 +456,7 @@ void BinnedAggregator::Reset() {
   bins_.clear();
   dense_.clear();  // keeps capacity: pooled partials reuse the buffer
   dense_touched_.clear();
-  matches_.clear();
+  matches_.Clear();
   matches_overflowed_ = false;
   rows_seen_ = 0;
   rows_matched_ = 0;

@@ -130,6 +130,103 @@ struct MatchedRow {
   double weight;
 };
 
+/// A recorded candidate list: a chain of immutable segments shared by
+/// every aggregator that adopted them, followed by one open tail this
+/// list alone appends to — all in feed-position order.  Adopting a
+/// snapshot shares its segments instead of copying them, and `Freeze`
+/// turns the open tail into a segment, so a list handed from query to
+/// cache to query costs O(segments), not O(rows).
+class MatchList {
+ public:
+  using Segment = std::vector<MatchedRow>;
+
+  /// The open tail is frozen whenever growing it would pass this many
+  /// rows: it bounds the tail's over-allocation (which the reuse cache's
+  /// byte budget counts) and the rows a regrowing vector moves.
+  static constexpr size_t kSegmentRows = 16 * 1024;
+
+  /// Rows held, frozen and open together.
+  int64_t size() const {
+    return frozen_rows_ + static_cast<int64_t>(open_.size());
+  }
+  bool empty() const { return size() == 0; }
+
+  /// Appends `n` rows to the open tail and returns them for the caller
+  /// to fill (one resize: the recording hot path).
+  MatchedRow* Extend(size_t n) {
+    if (open_.size() + n > kSegmentRows) Freeze();
+    const size_t old_size = open_.size();
+    if (old_size + n > open_.capacity()) {
+      // Power-of-two capacities up to the segment size, so a tail that
+      // fills up is frozen with (almost) no spare capacity.
+      size_t capacity = 1;
+      while (capacity < old_size + n) capacity <<= 1;
+      open_.reserve(std::max(old_size + n, std::min(capacity, kSegmentRows)));
+    }
+    open_.resize(old_size + n);
+    return open_.data() + old_size;
+  }
+
+  void Append(const MatchedRow& m) {
+    if (open_.size() >= kSegmentRows) Freeze();
+    open_.push_back(m);
+  }
+
+  /// Appends `other`'s rows with positions shifted by `shift`.  An empty
+  /// list adopting at shift 0 shares `other`'s frozen segments; only
+  /// `other`'s open tail is copied.
+  void AppendFrom(const MatchList& other, int64_t shift);
+
+  /// Moves the open tail into a new frozen segment (no-op when empty).
+  void Freeze();
+
+  /// Drops every row but keeps the open tail's capacity (pooled
+  /// partials reuse it).  Shared segments live on in their other lists.
+  void Clear();
+
+  /// Drops every row and frees the open tail (recorder overflow).
+  void Release();
+
+  /// Visits the rows with positions in [pos_begin, pos_end) in position
+  /// order, as contiguous runs `fn(const MatchedRow* first, const
+  /// MatchedRow* last)`, one per segment touched.
+  template <typename Fn>
+  void ForEachRun(int64_t pos_begin, int64_t pos_end, Fn&& fn) const {
+    const auto visit = [&](const Segment& seg) {
+      if (seg.empty() || seg.back().pos < pos_begin) return true;
+      if (seg.front().pos >= pos_end) return false;
+      const auto by_pos = [](const MatchedRow& m, int64_t p) {
+        return m.pos < p;
+      };
+      const auto lo =
+          std::lower_bound(seg.begin(), seg.end(), pos_begin, by_pos);
+      const auto hi = std::lower_bound(lo, seg.end(), pos_end, by_pos);
+      fn(seg.data() + (lo - seg.begin()), seg.data() + (hi - seg.begin()));
+      return seg.back().pos < pos_end;
+    };
+    for (const auto& seg : frozen_) {
+      if (!visit(*seg)) return;
+    }
+    visit(open_);
+  }
+
+  /// Every row, flattened (tests and diagnostics).
+  std::vector<MatchedRow> ToVector() const;
+
+  /// Bytes allocated for rows: every segment's capacity plus the open
+  /// tail's.  Shared segments count in full in each list holding them,
+  /// so a budget over this bounds resident memory from above.
+  int64_t CapacityBytes() const;
+
+  /// Frozen segments in the chain (tests).
+  size_t segment_count() const { return frozen_.size(); }
+
+ private:
+  std::vector<std::shared_ptr<const Segment>> frozen_;
+  int64_t frozen_rows_ = 0;
+  Segment open_;
+};
+
 /// Streaming group-by aggregation for one bound query.
 class BinnedAggregator {
  public:
@@ -173,8 +270,15 @@ class BinnedAggregator {
   /// copy).  Recorded matches are appended with positions shifted past
   /// this aggregator's rows seen so far, which is exactly right both for
   /// morsel partials folded in morsel order and for adopting a snapshot
-  /// into an empty aggregator.
+  /// into an empty aggregator (which shares the snapshot's frozen
+  /// segments instead of copying them).
   void MergeFrom(const BinnedAggregator& other);
+
+  /// Readies this aggregator to be kept as an immutable snapshot (the
+  /// reuse cache's hand-off): the open candidate tail becomes a frozen,
+  /// shareable segment and pooled partials are freed.  Accumulated state
+  /// and later processing are unaffected.
+  void Freeze();
 
   /// Feeds fact row `row` with weight 1 (scalar reference path).
   void ProcessRow(int64_t row) { ProcessRowWeighted(row, 1.0); }
@@ -235,14 +339,14 @@ class BinnedAggregator {
   /// recorded by an aggregator whose filter this query's filter equals or
   /// refines, and both fed the same underlying row sequence, the
   /// resulting state is identical to having fed that sequence directly.
-  /// `matches` must be position-sorted (recorders only ever append in
-  /// feed order).
-  void ReplayMatches(const std::vector<MatchedRow>& matches,
-                     int64_t pos_begin, int64_t pos_end);
+  /// Recorders only ever append in feed order, so `matches` is
+  /// position-sorted across its segments.
+  void ReplayMatches(const MatchList& matches, int64_t pos_begin,
+                     int64_t pos_end);
 
   /// Matched rows recorded so far (empty unless
   /// `options().record_matches`).
-  const std::vector<MatchedRow>& matched_rows() const { return matches_; }
+  const MatchList& matched_rows() const { return matches_; }
 
   /// True when recording hit `record_matches_limit` (directly or via a
   /// merge): the candidate list is incomplete, so this state must not be
@@ -250,13 +354,14 @@ class BinnedAggregator {
   bool matches_overflowed() const { return matches_overflowed_; }
 
   /// Estimated resident bytes of the accumulated state (bin tables +
-  /// recorded matches) — what a cache entry holding this state costs.
+  /// recorded matches at their allocated capacity) — what a cache entry
+  /// holding this state costs.
   int64_t ApproxMemoryBytes() const {
     const size_t naggs = query_->spec().aggregates.size();
-    return static_cast<int64_t>(
-        matches_.size() * sizeof(MatchedRow) +
-        dense_.size() * sizeof(AggAccum) + dense_touched_.size() +
-        bins_.size() * (naggs * sizeof(AggAccum) + 64));
+    return matches_.CapacityBytes() +
+           static_cast<int64_t>(dense_.size() * sizeof(AggAccum) +
+                                dense_touched_.size() +
+                                bins_.size() * (naggs * sizeof(AggAccum) + 64));
   }
 
   /// Rows fed so far (matched or not).
@@ -403,17 +508,17 @@ class BinnedAggregator {
   std::vector<std::unique_ptr<BinnedAggregator>> partial_pool_;
 
   // Matched-row recorder (options_.record_matches).
-  std::vector<MatchedRow> matches_;
+  MatchList matches_;
   bool matches_overflowed_ = false;
 
   /// True when the recorder should take `count` more matches; flips to
-  /// overflowed (and releases the list) when that would exceed the cap.
+  /// overflowed (and releases the list, frozen and open rows alike) when
+  /// that would exceed the cap.
   bool RecorderAccepts(int64_t count) {
     if (!options_.record_matches || matches_overflowed_) return false;
-    if (static_cast<int64_t>(matches_.size()) + count >
-        options_.record_matches_limit) {
+    if (matches_.size() + count > options_.record_matches_limit) {
       matches_overflowed_ = true;
-      matches_ = {};
+      matches_.Release();
       return false;
     }
     return true;

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "chaos/fault_injector.h"
+#include "common/logging.h"
 
 namespace idebench::exec {
 
@@ -52,7 +53,7 @@ ReuseCache::Match ReuseCache::Lookup(const query::QuerySpec& spec) {
     }
     it->second->last_used = ++use_tick_;
     match.entry = it->second;
-    if (SameBinTables(spec, *it->second->spec)) {
+    if (SameBinTables(spec, *it->second->state.spec)) {
       ++stats_.equal_hits;
       match.kind = MatchKind::kEqual;
     } else {
@@ -72,7 +73,7 @@ ReuseCache::Match ReuseCache::Lookup(const query::QuerySpec& spec) {
   Entry* best = nullptr;
   for (auto& [key, entry] : entries_) {
     if (entry->core_key != core_key || entry->watermark <= 0) continue;
-    if (!expr::Refines(spec.filter, entry->spec->filter)) continue;
+    if (!expr::Refines(spec.filter, entry->state.spec->filter)) continue;
     if (best == nullptr || entry->watermark > best->watermark ||
         (entry->watermark == best->watermark &&
          entry->full_key < best->full_key)) {
@@ -96,8 +97,8 @@ ReuseCache::Match ReuseCache::Lookup(const query::QuerySpec& spec) {
   return match;
 }
 
-void ReuseCache::Store(const query::QuerySpec& spec,
-                       const BinnedAggregator& agg, const Binder& binder) {
+void ReuseCache::Store(QueryState state) {
+  const BinnedAggregator& agg = *state.aggregator;
   // Nothing to reuse from an empty feed, and nothing to replay from an
   // aggregator that did not record its candidates (or whose recorder
   // overflowed: the candidate list is incomplete).
@@ -105,6 +106,8 @@ void ReuseCache::Store(const query::QuerySpec& spec,
       agg.matches_overflowed()) {
     return;
   }
+  IDB_CHECK(&agg.query() == state.bound.get() &&
+            &state.bound->spec() == state.spec.get());
 
   // Chaos site: an eviction storm (memory-pressure spike) wipes the whole
   // cache just before the store.  Only physical work is displaced, so the
@@ -115,10 +118,11 @@ void ReuseCache::Store(const query::QuerySpec& spec,
     total_bytes_ = 0;
   }
 
+  const query::QuerySpec& spec = *state.spec;
   const std::string full_key = spec.Signature();
   auto it = entries_.find(full_key);
   if (it != entries_.end() && it->second->watermark >= agg.rows_seen() &&
-      SameBinTables(spec, *it->second->spec)) {
+      SameBinTables(spec, *it->second->state.spec)) {
     it->second->last_used = ++use_tick_;
     return;  // the cached snapshot is at least as deep (and same-shaped);
              // a re-shaped entry falls through and is replaced below
@@ -132,21 +136,15 @@ void ReuseCache::Store(const query::QuerySpec& spec,
   // viz's identical submission) must not migrate the entry between LRU
   // buckets.
   entry->viz = it != entries_.end() ? it->second->viz : spec.viz_name;
-  entry->spec = std::make_unique<query::QuerySpec>(spec);
-  auto bound = binder(*entry->spec);
-  if (!bound.ok()) return;  // engine cannot re-bind: skip caching
-  entry->bound = std::make_unique<BoundQuery>(std::move(bound).MoveValueUnsafe());
-
-  BinnedAggregatorOptions snapshot_options = agg.options();
-  snapshot_options.record_matches = true;  // the candidate list rides along
-  entry->snapshot = std::make_unique<BinnedAggregator>(entry->bound.get(),
-                                                       snapshot_options);
-  entry->snapshot->MergeFrom(agg);
   entry->watermark = agg.rows_seen();
   entry->last_used = ++use_tick_;
-  // Candidate list + bin tables, plus a coarse per-entry floor for the
-  // binding and bookkeeping.
-  entry->approx_bytes = entry->snapshot->ApproxMemoryBytes() + 4096;
+  // The open candidate tail becomes a shared segment: whoever adopts
+  // this snapshot appends past it instead of copying it.
+  state.aggregator->Freeze();
+  // Candidate segments + bin tables, plus a coarse per-entry floor for
+  // the binding and bookkeeping.
+  entry->approx_bytes = agg.ApproxMemoryBytes() + 4096;
+  entry->state = std::move(state);
 
   const std::string owner_viz = entry->viz;
   if (it != entries_.end()) Erase(it);
@@ -197,6 +195,16 @@ void ReuseCache::EvictOverflow(const std::string& viz) {
   }
 }
 
+int64_t ReuseCache::Adopt(const Match& match, BinnedAggregator* agg,
+                          int64_t limit) {
+  if (match.kind != MatchKind::kEqual || agg->rows_seen() != 0 ||
+      match.watermark() > limit) {
+    return 0;
+  }
+  agg->MergeFrom(*match.entry->state.aggregator);
+  return match.watermark();
+}
+
 int64_t ReuseCache::Serve(const Match& match, BinnedAggregator* agg,
                           int64_t begin, int64_t end) {
   if (!match || match.kind == MatchKind::kNone) return begin;
@@ -204,16 +212,11 @@ int64_t ReuseCache::Serve(const Match& match, BinnedAggregator* agg,
   const int64_t upto = std::min(end, entry.watermark);
   if (upto <= begin) return begin;
 
-  if (match.kind == MatchKind::kEqual && begin == 0 &&
-      agg->rows_seen() == 0 && upto == entry.watermark) {
-    // The range covers the whole snapshot: adopt its bin tables (and
-    // candidate list) wholesale.
-    agg->MergeFrom(*entry.snapshot);
-    return upto;
-  }
+  // The range covers the whole snapshot: adopt it wholesale.
+  if (begin == 0 && Adopt(match, agg, end) > 0) return upto;
   // Partial or refined coverage: replay the candidate slice through this
   // query's own filter at the original positions and weights.
-  agg->ReplayMatches(entry.snapshot->matched_rows(), begin, upto);
+  agg->ReplayMatches(entry.state.aggregator->matched_rows(), begin, upto);
   return upto;
 }
 

@@ -41,6 +41,30 @@
 /// via `MergeFrom` (which also carries the recorded candidate list) and
 /// the remainder of a feed may run through `exec/parallel.h` as usual.
 ///
+/// Hand-off, not copy: a reuse hit costs O(bins), not O(candidates).
+///
+///  * *Move on store.*  `Store` takes ownership of the finished query's
+///    `QueryState` — its spec, `BoundQuery` and aggregator — and keeps it
+///    as the snapshot: no spec copy, rebind or kernel recompile.  Engines
+///    hold the spec behind a `unique_ptr`, so the binding's pointer to it
+///    survives the move.  Store freezes the aggregator's open candidate
+///    tail into a shared segment.
+///  * *Shared segments.*  A candidate list is a chain of immutable
+///    segments plus one open tail (`MatchList`).  Adopting a snapshot
+///    shares the chain; the adopter appends past the watermark into its
+///    own tail, and storing it adds that tail as one more segment.  An
+///    entry evicted or cleared while a running query still shares its
+///    segments leaves them alive for that query.
+///  * *Whole-snapshot adoption.*  `Serve` adopts a snapshot whole only
+///    when the range it is asked for covers the watermark, because the
+///    progressive, online and stratified engines publish partials after
+///    every slice and a partial must never run ahead of the virtual
+///    cursor.  The blocking engine exposes nothing before its scan is
+///    done, so its first slice calls `Adopt` whatever the slice length
+///    (an equal match no deeper than the query's pinned watermark), then
+///    scans physically only past the snapshot; the virtual cursor and
+///    every charge are unchanged.
+///
 /// Snapshots survive ingest epochs (delta maintenance): every engine
 /// feed is *prefix-invariant* under epoch publishes (walk segments, scans
 /// and stratified samples are all append-only), so a snapshot's first
@@ -53,12 +77,10 @@
 /// viz keeps its most recent signatures; a global cap bounds the total.
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
 
-#include "common/result.h"
 #include "exec/aggregator.h"
 #include "exec/bound_query.h"
 #include "metrics/metrics.h"
@@ -81,28 +103,36 @@ struct ReuseCacheOptions {
   int64_t max_total_bytes = 64 << 20;
 };
 
+/// One query's execution state, each part at a stable address: the
+/// aggregator points at the binding, which points at the spec.  Engines
+/// build it per query and hand it to `ReuseCache::Store` when the query
+/// ends; cache entries keep it as their snapshot.
+struct QueryState {
+  std::unique_ptr<query::QuerySpec> spec;
+  std::unique_ptr<BoundQuery> bound;
+  std::unique_ptr<BinnedAggregator> aggregator;
+};
+
 /// Per-engine cross-interaction reuse cache.  Not thread-safe: engines
 /// are single-threaded simulators; only the aggregation *inside* a feed
 /// is morsel-parallel.
 class ReuseCache {
  public:
-  /// One cached snapshot.  The entry owns its spec copy and binding so
-  /// the snapshot stays valid after the originating query is released;
-  /// the join indexes and catalog it references belong to the engine,
+  /// One cached snapshot: the state the originating query handed over.
+  /// The join indexes and catalog it references belong to the engine,
   /// which outlives the cache.
   struct Entry {
     std::string full_key;   // query::QuerySpec::Signature()
     std::string core_key;   // query::QuerySpec::CoreSignature()
     std::string viz;        // owning viz (LRU bucket)
-    std::unique_ptr<query::QuerySpec> spec;  // stable address for `bound`
-    std::unique_ptr<BoundQuery> bound;
-    /// Aggregator state after the first `watermark` feed positions; its
-    /// recorder holds the candidate (matched) rows of that prefix.
-    std::unique_ptr<BinnedAggregator> snapshot;
+    /// The aggregator holds the state after the first `watermark` feed
+    /// positions; its recorder holds the candidate (matched) rows of
+    /// that prefix, frozen.
+    QueryState state;
     int64_t watermark = 0;
     uint64_t last_used = 0;
-    /// Estimated resident size (candidate list + bin tables); the unit
-    /// of the cache's byte budget.
+    /// Estimated resident size (candidate segments at capacity + bin
+    /// tables); the unit of the cache's byte budget.
     int64_t approx_bytes = 0;
   };
 
@@ -123,11 +153,6 @@ class ReuseCache {
     int64_t watermark() const { return entry != nullptr ? entry->watermark : 0; }
   };
 
-  /// Binds an entry-owned spec copy for snapshot storage (supplied by the
-  /// engine, which knows its join strategy).
-  using Binder =
-      std::function<Result<BoundQuery>(const query::QuerySpec& spec)>;
-
   explicit ReuseCache(ReuseCacheOptions options = {});
 
   /// Finds the best usable entry for `spec`: an equal-signature entry if
@@ -136,18 +161,27 @@ class ReuseCache {
   /// and hit/miss counters.
   Match Lookup(const query::QuerySpec& spec);
 
-  /// Snapshots `agg` (which must have been built with
-  /// `record_matches`, and fed in feed-position order) under `spec`'s
-  /// signature.  Replaces an existing entry only when the new watermark
-  /// is deeper; evicts per-viz and global LRU overflow.
-  void Store(const query::QuerySpec& spec, const BinnedAggregator& agg,
-             const Binder& binder);
+  /// Takes ownership of a finished query's state and keeps its
+  /// aggregator (built with `record_matches`, fed in feed-position
+  /// order) as the snapshot for the spec's signature.  Skips states that
+  /// fed nothing or whose recorder overflowed; replaces an existing
+  /// entry only when the new watermark is deeper (or the old entry's bin
+  /// tables are re-shaped); evicts per-viz, global and byte-budget LRU
+  /// overflow.  A state it does not keep is simply destroyed.
+  void Store(QueryState state);
+
+  /// Adopts `match`'s whole snapshot into the empty `agg` when the match
+  /// is equal and its watermark is at most `limit`: bin tables merge in
+  /// O(bins) and the candidate chain is shared.  Returns the positions
+  /// adopted (the watermark), or 0 when nothing was.
+  static int64_t Adopt(const Match& match, BinnedAggregator* agg,
+                       int64_t limit);
 
   /// Serves feed positions [begin, end) of `match` into `agg`: adopts the
-  /// whole snapshot via MergeFrom when the range covers the watermark
-  /// from zero, otherwise replays the recorded candidate slice.  Returns
-  /// the position up to which the cache served (== begin when the match
-  /// is empty or exhausted); the caller feeds the remainder physically.
+  /// whole snapshot when the range covers the watermark from zero,
+  /// otherwise replays the recorded candidate slice.  Returns the
+  /// position up to which the cache served (== begin when the match is
+  /// empty or exhausted); the caller feeds the remainder physically.
   static int64_t Serve(const Match& match, BinnedAggregator* agg,
                        int64_t begin, int64_t end);
 

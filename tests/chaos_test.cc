@@ -18,6 +18,7 @@
 ///    the scenario catalog, engines and seeds, including the uninjected
 ///    reference-run result-identity check.
 
+#include <cmath>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -438,6 +439,123 @@ TEST(InvariantCheckerTest, ResultsMatchRespectsRelEps) {
   EXPECT_TRUE(ResultsMatch(a, b, 1e-9, &why)) << why;
   b.bins[3].values[0].estimate = 105.0;
   EXPECT_FALSE(ResultsMatch(a, b, 1e-9, &why));
+}
+
+// Mutation tests: crafted update streams, each breaking one invariant,
+// fed straight into the public sink interface.  Every case must fire the
+// named invariant (and a clean stream must fire none), so a checker that
+// silently stopped looking would fail here rather than pass every sweep.
+
+ProgressiveUpdate CraftedUpdate(int64_t query_id, bool final_update) {
+  ProgressiveUpdate u;
+  u.session_id = 1;
+  u.query_id = query_id;
+  u.viz_name = "viz_0";
+  u.virtual_time = 1'000;
+  u.budget = 10'000;
+  u.consumed = 500;
+  u.progress = 0.5;
+  u.final_update = final_update;
+  u.completed = final_update;
+  if (final_update) {
+    u.result.available = true;
+    u.result.exact = true;
+    u.result.progress = 1.0;
+    u.result.rows_processed = 100;
+    query::BinResult bin;
+    query::AggValue v;
+    v.estimate = 42.0;
+    bin.values.push_back(v);
+    u.result.bins[7] = bin;
+  }
+  return u;
+}
+
+InvariantChecker CraftedChecker() {
+  InvariantChecker::Options options;
+  options.time_requirement = 10'000;
+  InvariantChecker checker(options);
+  session::SubmittedQuery q;
+  q.query_id = 1;
+  checker.NoteSubmitted({q}, /*now=*/0);
+  return checker;
+}
+
+/// Names of the invariants `checker` reported, in order.
+std::vector<std::string> Fired(const InvariantChecker& checker) {
+  std::vector<std::string> names;
+  for (const InvariantViolation& v : checker.violations()) {
+    names.push_back(v.invariant);
+  }
+  return names;
+}
+
+TEST(InvariantCheckerTest, CleanStreamFiresNothing) {
+  InvariantChecker checker = CraftedChecker();
+  checker.OnUpdate(CraftedUpdate(1, /*final_update=*/false));
+  checker.OnUpdate(CraftedUpdate(1, /*final_update=*/true));
+  EXPECT_TRUE(checker.violations().empty());
+  EXPECT_EQ(checker.finals_seen(), 1);
+}
+
+TEST(InvariantCheckerTest, DuplicateTerminalFires) {
+  InvariantChecker checker = CraftedChecker();
+  checker.OnUpdate(CraftedUpdate(1, /*final_update=*/true));
+  checker.OnUpdate(CraftedUpdate(1, /*final_update=*/true));
+  EXPECT_EQ(Fired(checker),
+            std::vector<std::string>{"one-terminal-update"});
+}
+
+TEST(InvariantCheckerTest, UpdateAfterFinalFires) {
+  InvariantChecker checker = CraftedChecker();
+  checker.OnUpdate(CraftedUpdate(1, /*final_update=*/true));
+  checker.OnUpdate(CraftedUpdate(1, /*final_update=*/false));
+  EXPECT_EQ(Fired(checker),
+            std::vector<std::string>{"no-update-after-final"});
+}
+
+TEST(InvariantCheckerTest, NegativeProgressFires) {
+  InvariantChecker checker = CraftedChecker();
+  ProgressiveUpdate u = CraftedUpdate(1, /*final_update=*/false);
+  u.progress = -0.25;
+  checker.OnUpdate(u);
+  EXPECT_EQ(Fired(checker), std::vector<std::string>{"progress-range"});
+}
+
+TEST(InvariantCheckerTest, PartialWithTerminalFlagsFires) {
+  for (int flag = 0; flag < 4; ++flag) {
+    InvariantChecker checker = CraftedChecker();
+    ProgressiveUpdate u = CraftedUpdate(1, /*final_update=*/false);
+    u.completed = flag == 0;
+    u.cancelled = flag == 1;
+    u.unsupported = flag == 2;
+    u.failed = flag == 3;
+    checker.OnUpdate(u);
+    EXPECT_EQ(Fired(checker),
+              std::vector<std::string>{"terminal-flags-on-partial"})
+        << "flag " << flag;
+  }
+}
+
+TEST(InvariantCheckerTest, PerturbedBinBreaksReferenceIdentity) {
+  InvariantChecker reference = CraftedChecker();
+  reference.OnUpdate(CraftedUpdate(1, /*final_update=*/true));
+
+  InvariantChecker same = CraftedChecker();
+  same.OnUpdate(CraftedUpdate(1, /*final_update=*/true));
+  same.CompareCompletedAgainstReference(reference, /*rel_eps=*/0.0);
+  EXPECT_TRUE(same.violations().empty());
+
+  // One ulp in one bin.
+  InvariantChecker perturbed = CraftedChecker();
+  ProgressiveUpdate u = CraftedUpdate(1, /*final_update=*/true);
+  double& estimate = u.result.bins[7].values[0].estimate;
+  estimate = std::nextafter(estimate, 100.0);
+  perturbed.OnUpdate(u);
+  ASSERT_TRUE(perturbed.violations().empty());
+  perturbed.CompareCompletedAgainstReference(reference, /*rel_eps=*/0.0);
+  EXPECT_EQ(Fired(perturbed),
+            std::vector<std::string>{"reference-identity"});
 }
 
 // --- Scenario harness -------------------------------------------------------

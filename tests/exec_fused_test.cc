@@ -582,10 +582,12 @@ TEST(ZonePruneTest, RecordingAggregatorKeepsWalkPositions) {
     BinnedAggregator unpruned(&*bound, record_no_prune);
     MorselProcessRange(&pruned, 0, rows, threads);
     MorselProcessRange(&unpruned, 0, rows, threads);
-    ASSERT_EQ(pruned.matched_rows().size(), unpruned.matched_rows().size());
-    for (size_t i = 0; i < pruned.matched_rows().size(); ++i) {
-      EXPECT_EQ(pruned.matched_rows()[i].pos, unpruned.matched_rows()[i].pos);
-      EXPECT_EQ(pruned.matched_rows()[i].row, unpruned.matched_rows()[i].row);
+    const auto pruned_rows = pruned.matched_rows().ToVector();
+    const auto unpruned_rows = unpruned.matched_rows().ToVector();
+    ASSERT_EQ(pruned_rows.size(), unpruned_rows.size());
+    for (size_t i = 0; i < pruned_rows.size(); ++i) {
+      EXPECT_EQ(pruned_rows[i].pos, unpruned_rows[i].pos);
+      EXPECT_EQ(pruned_rows[i].row, unpruned_rows[i].row);
     }
   }
 }
